@@ -249,11 +249,18 @@ module Make (F : Field_intf.S) = struct
     b.queue_len <- 0;
     Log.warn (fun f -> f "beacon halted: %s" msg)
 
+  (* Request ids are u32 in the vend preimage, the journal and the
+     snapshot. *)
+  let max_request_id = 0xFFFF_FFFF
+
   let request b ?id ?nbits ~callback () =
     let nbits = Option.value nbits ~default:F.k_bits in
     if nbits < 1 then invalid_arg "Beacon.request: nbits must be >= 1";
     (match id with
-    | Some id when id < 1 -> invalid_arg "Beacon.request: id must be >= 1"
+    | Some id when id < 1 || id > max_request_id ->
+        invalid_arg "Beacon.request: id must be in 1..0xFFFF_FFFF"
+    | None when b.next_request_id > max_request_id ->
+        invalid_arg "Beacon.request: request ids exhausted"
     | _ -> ());
     refresh_state b;
     match b.state with
@@ -296,22 +303,27 @@ module Make (F : Field_intf.S) = struct
      request id) seeds a SplitMix64 stream that yields the requested
      bits. Distinct requests in the same epoch get computationally
      unrelated streams from the single exposed coin — the paper's PRBG
-     expansion, applied service-side. *)
-  let derive b ~seq ~coin r =
+     expansion, applied service-side.
+
+     The digested bytes are tag 3, the u32 seq, the u16 coin length, the
+     coin and the u32 request id. All but the id are fixed for an epoch,
+     so [vend_preimage] encodes them once per close, and [derive] writes
+     each request's id into the last four bytes. *)
+  let vend_preimage ~seq ~coin =
     let w = Wire.Writer.create () in
     Wire.Writer.u8 w 3;
     Wire.Writer.u32 w seq;
     let cb = F.to_bytes coin in
     Wire.Writer.u16 w (Bytes.length cb);
     Wire.Writer.raw w cb;
-    Wire.Writer.u32 w r.id;
-    let h = Beacon_hash.mac ~key:b.key (Wire.Writer.contents w) in
+    Wire.Writer.u32 w 0;
+    Wire.Writer.contents w
+
+  let derive b ~seq ~preimage r =
+    Bytes.set_int32_le preimage (Bytes.length preimage - 4) (Int32.of_int r.id);
+    let h = Beacon_hash.mac ~key:b.key preimage in
     let g = Prng.create (Beacon_hash.to_seed h) in
-    {
-      request_id = r.id;
-      epoch = seq;
-      bits = Array.init r.nbits (fun _ -> Prng.bool g);
-    }
+    { request_id = r.id; epoch = seq; bits = Prng.bools g r.nbits }
 
   (* The closing sequence is write-ahead shaped: the epoch is sealed
      and handed to [pre_ack] {e before} any callback fires, so a
@@ -352,11 +364,14 @@ module Make (F : Field_intf.S) = struct
                 ~flags:(state_label b.state) ()
             in
             pre_ack e pending;
+            let preimage = vend_preimage ~seq ~coin in
             List.iter
               (fun r ->
-                let f = derive b ~seq ~coin r in
-                Trace.event (fun () ->
-                    Trace.Vend { request = r.id; epoch = seq; bits = r.nbits });
+                let f = derive b ~seq ~preimage r in
+                if Trace.enabled () then
+                  Trace.event (fun () ->
+                      Trace.Vend
+                        { request = r.id; epoch = seq; bits = r.nbits });
                 r.callback f)
               pending;
             b.head <- e.digest;
@@ -396,7 +411,10 @@ module Make (F : Field_intf.S) = struct
   (* v2 adds [next_request_id] after the counters, so ids stay unique
      for the lifetime of the chain even after the journal (the other
      id-recovery source) is rotated away. v1 snapshots still load and
-     restart ids at 1 — the pre-journal behavior. *)
+     restart ids at 1 — the pre-journal behavior. The field is a u32 but
+     [next_request_id] reaches 2^32 once id 0xFFFF_FFFF is used; it is
+     written modulo 2^32, and the 0 that no other state writes reads
+     back as 2^32, the spent id space. *)
   let snapshot_version = 2
   let oldest_readable_version = 1
 
@@ -408,7 +426,7 @@ module Make (F : Field_intf.S) = struct
       (fun v -> Wire.Writer.u32 w v)
       [ b.epochs; b.vended; b.shed_queue_full; b.shed_pool_pressure;
         b.shed_halted ];
-    Wire.Writer.u32 w b.next_request_id;
+    Wire.Writer.u32 w (b.next_request_id land max_request_id);
     let pool_bytes = P.save b.pool in
     Wire.Writer.u32 w (Bytes.length pool_bytes);
     Wire.Writer.raw w pool_bytes;
@@ -443,7 +461,9 @@ module Make (F : Field_intf.S) = struct
         let head = Beacon_hash.read r in
         let counters = Array.init 5 (fun _ -> Wire.Reader.u32 r) in
         let next_request_id =
-          if version >= 2 then Wire.Reader.u32 r else 1
+          if version < 2 then 1
+          else
+            match Wire.Reader.u32 r with 0 -> max_request_id + 1 | id -> id
         in
         let pool_len = Wire.Reader.u32 r in
         let pool_bytes = Wire.Reader.raw r pool_len in
@@ -481,7 +501,7 @@ module Make (F : Field_intf.S) = struct
     b.shed_queue_full <- counters.(2);
     b.shed_pool_pressure <- counters.(3);
     b.shed_halted <- counters.(4);
-    b.next_request_id <- max 1 next_request_id;
+    b.next_request_id <- next_request_id;
     b
 
   (* --- crash-consistent durability ----------------------------------- *)
@@ -669,7 +689,9 @@ module Make (F : Field_intf.S) = struct
       match Hashtbl.find_opt d.acked id with
       | None -> None
       | Some (seq, coin, nbits) ->
-          Some (derive d.beacon ~seq ~coin { id; nbits; callback = ignore })
+          Some
+            (derive d.beacon ~seq ~preimage:(vend_preimage ~seq ~coin)
+               { id; nbits; callback = ignore })
 
     let request d ?id ?nbits ~callback () =
       match id with

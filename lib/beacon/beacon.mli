@@ -132,11 +132,14 @@ module Make (F : Field_intf.S) : sig
       [F.k_bits], must be >= 1). [Ok id] means the request is queued
       and [callback] will fire exactly once, at the next successful
       {!close_epoch}; [Error] is the explicit backpressure signal and
-      the callback will never fire. [id] (must be >= 1) lets a client
-      resubmit under its own request id: a resubmission of an id
-      already queued is idempotent (the first registration's callback
-      fires, once), and fresh auto-assigned ids never collide with
-      explicitly used ones. *)
+      the callback will never fire. [id] lets a client resubmit under
+      its own request id: a resubmission of an id already queued is
+      idempotent (the first registration's callback fires, once), and
+      fresh auto-assigned ids never collide with explicitly used ones.
+      Ids are u32 in the vend derivation, the journal and the snapshot.
+      @raise Invalid_argument before any state changes when [nbits < 1],
+      when [id] is outside [1..0xFFFF_FFFF], or when no [id] is given
+      and the next auto-assigned id would pass [0xFFFF_FFFF]. *)
 
   val close_epoch : t -> (epoch, string) result
   (** Close the current epoch: expose one pool coin, seal the chained

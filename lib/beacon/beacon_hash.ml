@@ -3,21 +3,29 @@
    avalanche on 64 bits) and folds the result into the low lane, so
    every input bit diffuses into both lanes within one round. The
    length is absorbed at the end (suffix-freeness), followed by two
-   blank rounds to flush the final block through both lanes. *)
+   blank rounds to flush the final block through both lanes.
 
-type t = { hi : int64; lo : int64 }
+   The state lives in a 16-byte buffer, high lane then low lane, each
+   little-endian; once the last round has run, that buffer is the
+   digest. Lanes are read and written in place and blocks are read
+   straight from the input, so a digest allocates the buffer and
+   nothing else. *)
 
-let zero = { hi = 0L; lo = 0L }
-let equal a b = Int64.equal a.hi b.hi && Int64.equal a.lo b.lo
+type t = string
+
+let hi h = String.get_int64_le h 0
+let lo h = String.get_int64_le h 8
+let zero = String.make 16 '\000'
+let equal = String.equal
 
 let compare a b =
-  match Int64.unsigned_compare a.hi b.hi with
-  | 0 -> Int64.unsigned_compare a.lo b.lo
+  match Int64.unsigned_compare (hi a) (hi b) with
+  | 0 -> Int64.unsigned_compare (lo a) (lo b)
   | c -> c
 
 let golden = 0x9e3779b97f4a7c15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z =
     Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
       0xbf58476d1ce4e5b9L
@@ -28,63 +36,71 @@ let mix64 z =
   in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let absorb st w =
-  let hi = mix64 (Int64.add (Int64.logxor st.hi w) golden) in
-  let lo = mix64 (Int64.logxor st.lo (Int64.add hi w)) in
-  { hi; lo }
+let[@inline] absorb st w =
+  let hi =
+    mix64 (Int64.add (Int64.logxor (Bytes.get_int64_le st 0) w) golden)
+  in
+  Bytes.set_int64_le st 0 hi;
+  Bytes.set_int64_le st 8
+    (mix64 (Int64.logxor (Bytes.get_int64_le st 8) (Int64.add hi w)))
 
-(* Little-endian 64-bit word at [off]; missing tail bytes read as 0. *)
-let block b off =
-  let len = Bytes.length b in
-  let w = ref 0L in
-  for i = 7 downto 0 do
-    let v = if off + i < len then Char.code (Bytes.get b (off + i)) else 0 in
-    w := Int64.logor (Int64.shift_left !w 8) (Int64.of_int v)
-  done;
-  !w
-
+(* Little-endian 64-bit blocks; the missing tail bytes of a final
+   partial block read as 0. Seven bytes fit an int, so the partial
+   block is assembled without a boxed accumulator. *)
 let absorb_bytes st b =
   let len = Bytes.length b in
-  let st = ref st in
+  let full = len land lnot 7 in
   let off = ref 0 in
-  while !off < len do
-    st := absorb !st (block b !off);
+  while !off < full do
+    absorb st (Bytes.get_int64_le b !off);
     off := !off + 8
   done;
-  !st
+  if full < len then begin
+    let w = ref 0 in
+    for i = len - 1 downto full do
+      w := (!w lsl 8) lor Bytes.get_uint8 b i
+    done;
+    absorb st (Int64.of_int !w)
+  end
+
+let start ~tag ~len =
+  let st = Bytes.create 16 in
+  Bytes.set_int64_le st 0 tag;
+  Bytes.set_int64_le st 8 0L;
+  absorb st (Int64.of_int len);
+  st
 
 let finish st ~total =
-  let st = absorb st (Int64.of_int total) in
-  let st = absorb st 0L in
-  absorb st 0L
+  absorb st (Int64.of_int total);
+  absorb st 0L;
+  absorb st 0L;
+  Bytes.unsafe_to_string st
 
 let digest b =
   (* Domain tag 1: unkeyed. *)
-  let st = absorb { hi = 1L; lo = 0L } (Int64.of_int (Bytes.length b)) in
-  finish (absorb_bytes st b) ~total:(Bytes.length b)
-
-let mac ~key b =
-  (* Domain tag 2: keyed sandwich — key, message, key again. *)
-  let kb = Bytes.of_string key in
-  let st = absorb { hi = 2L; lo = 0L } (Int64.of_int (Bytes.length kb)) in
-  let st = absorb_bytes st kb in
-  let st = absorb st (Int64.of_int (Bytes.length b)) in
-  let st = absorb_bytes st b in
-  let st = absorb_bytes st kb in
+  let st = start ~tag:1L ~len:(Bytes.length b) in
+  absorb_bytes st b;
   finish st ~total:(Bytes.length b)
 
-let to_bytes { hi; lo } =
-  let b = Bytes.create 16 in
-  Bytes.set_int64_le b 0 hi;
-  Bytes.set_int64_le b 8 lo;
-  b
+let mac ~key b =
+  (* Domain tag 2: keyed sandwich — key, message, key again. The key is
+     only read. *)
+  let kb = Bytes.unsafe_of_string key in
+  let st = start ~tag:2L ~len:(Bytes.length kb) in
+  absorb_bytes st kb;
+  absorb st (Int64.of_int (Bytes.length b));
+  absorb_bytes st b;
+  absorb_bytes st kb;
+  finish st ~total:(Bytes.length b)
+
+let to_bytes h = Bytes.of_string h
 
 let of_bytes b =
   if Bytes.length b <> 16 then
     invalid_arg "Beacon_hash.of_bytes: need exactly 16 bytes";
-  { hi = Bytes.get_int64_le b 0; lo = Bytes.get_int64_le b 8 }
+  Bytes.to_string b
 
-let to_seed { hi; lo } = Int64.logxor hi (mix64 lo)
+let to_seed h = Int64.logxor (hi h) (mix64 (lo h))
 
 let hex_of_bytes b =
   String.init
@@ -115,12 +131,12 @@ let bytes_of_hex s =
     | Some i -> Error (Printf.sprintf "non-hex character at offset %d" i)
     | None -> Ok b
 
-let to_hex h = hex_of_bytes (to_bytes h)
+let to_hex h = hex_of_bytes (Bytes.unsafe_of_string h)
 
 let of_hex s =
   if String.length s <> 32 then Error "digest hex must be 32 characters"
   else Result.map of_bytes (bytes_of_hex s)
 
-let write w h = Wire.Writer.raw w (to_bytes h)
-let read r = of_bytes (Wire.Reader.raw r 16)
+let write w h = Wire.Writer.raw w (Bytes.unsafe_of_string h)
+let read r = Bytes.unsafe_to_string (Wire.Reader.raw r 16)
 let pp ppf h = Format.pp_print_string ppf (to_hex h)

@@ -39,7 +39,9 @@ module Make (F : Field_intf.S) = struct
     ledger : Sentinel.Ledger.t option;
     mutable quarantine_mark : int;
         (* quarantine count at the last evidence-triggered refresh *)
-    mutable coins : C.t list;
+    coins : C.t Queue.t;
+        (* the stock, oldest first: draws expose from the front, refills
+           append at the back *)
     mutable bit_buffer : bool list;
     mutable refills : int;
     mutable refreshes : int;
@@ -66,9 +68,10 @@ module Make (F : Field_intf.S) = struct
       invalid_arg "Pool.create: batch_size must be >= 2 * refill_threshold";
     if max_refill_attempts < 1 then
       invalid_arg "Pool.create: max_refill_attempts must be >= 1";
-    let coins =
-      List.init initial_seed (fun _ -> C.dealer_coin prng ~n ~t)
-    in
+    let coins = Queue.create () in
+    for _ = 1 to initial_seed do
+      Queue.add (C.dealer_coin prng ~n ~t) coins
+    done;
     {
       prng;
       n;
@@ -97,7 +100,7 @@ module Make (F : Field_intf.S) = struct
       backoff_rounds = 0;
     }
 
-  let available p = List.length p.coins
+  let available p = Queue.length p.coins
   let ledger p = p.ledger
   let refill_threshold p = p.refill_threshold
 
@@ -160,13 +163,12 @@ module Make (F : Field_intf.S) = struct
      decoding disagrees or fails (bounded by M n 2^-k per batch). *)
   let expose_next p ~for_seed =
     Trace.span Trace.Phase "pool.expose" @@ fun () ->
-    match p.coins with
-    | [] ->
+    match Queue.take_opt p.coins with
+    | None ->
         starve p
           (if for_seed then "seed coins exhausted during a refill"
            else "pool empty")
-    | coin :: rest ->
-        p.coins <- rest;
+    | Some coin ->
         let values =
           with_sentinel p (fun () ->
               CE.run ~sender_behavior:(p.expose_behavior p.refills) coin)
@@ -278,8 +280,9 @@ module Make (F : Field_intf.S) = struct
     p.refills <- p.refills + 1;
     p.generated_coins <- p.generated_coins + batch.CG.m;
     p.ba_iterations <- p.ba_iterations + batch.CG.ba_iterations;
-    let fresh = List.init batch.CG.m (fun h -> CG.coin batch h) in
-    p.coins <- p.coins @ fresh;
+    for h = 0 to batch.CG.m - 1 do
+      Queue.add (CG.coin batch h) p.coins
+    done;
     Log.info (fun f ->
         f "refill %d: +%d coins (spent %d seed), %d now available" p.refills
           batch.CG.m batch.CG.seed_coins_consumed (available p))
@@ -289,15 +292,15 @@ module Make (F : Field_intf.S) = struct
     (* Reserve a seed budget up front: the refresh batch size must be
        fixed before any seed coin is consumed, so the reserve coins fuel
        the run and skip this round's re-randomization. *)
-    let rec split k acc rest =
-      match (k, rest) with
-      | 0, _ | _, [] -> (List.rev acc, rest)
-      | k, c :: tl -> split (k - 1) (c :: acc) tl
-    in
-    let reserve, to_refresh = split p.refill_threshold [] p.coins in
-    if to_refresh = [] then ()
-    else begin
-      p.coins <- reserve;
+    if available p > p.refill_threshold then begin
+      (* The reserve stays in the stock, at its front; the rest leaves
+         it for the refresh run. *)
+      let rest = Queue.create () in
+      Queue.transfer p.coins rest;
+      for _ = 1 to p.refill_threshold do
+        Queue.add (Queue.take rest) p.coins
+      done;
+      let to_refresh = List.of_seq (Queue.to_seq rest) in
       match
         with_sentinel p (fun () ->
             R.run ~adversary:(p.adversary p.refills)
@@ -307,11 +310,11 @@ module Make (F : Field_intf.S) = struct
       with
       | None ->
           (* Agreement never succeeded; put the coins back unrefreshed. *)
-          p.coins <- p.coins @ to_refresh;
+          List.iter (fun c -> Queue.add c p.coins) to_refresh;
           starve p "refresh batch failed repeatedly"
       | Some refreshed ->
           p.refreshes <- p.refreshes + 1;
-          p.coins <- p.coins @ refreshed;
+          List.iter (fun c -> Queue.add c p.coins) refreshed;
           Log.info (fun f ->
               f "refresh %d: re-randomized %d coins, %d now available"
                 p.refreshes (List.length refreshed) (available p))
@@ -417,8 +420,8 @@ module Make (F : Field_intf.S) = struct
         p.seed_coins_consumed; p.coins_exposed; p.ba_iterations;
         p.unanimity_failures; p.refill_attempts; p.backoff_rounds;
       ];
-    Wire.Writer.u16 w (List.length p.coins);
-    List.iter (fun c -> C.write w c) p.coins;
+    Wire.Writer.u16 w (Queue.length p.coins);
+    Queue.iter (fun c -> C.write w c) p.coins;
     (match p.ledger with
     | None -> Wire.Writer.u8 w 0
     | Some ledger ->
@@ -476,7 +479,10 @@ module Make (F : Field_intf.S) = struct
         let fault_bound = Wire.Reader.u16 r in
         let counters = Array.init 10 (fun _ -> Wire.Reader.u32 r) in
         let count = Wire.Reader.u16 r in
-        let coins = List.init count (fun _ -> C.read r) in
+        let coins = Queue.create () in
+        for _ = 1 to count do
+          Queue.add (C.read r) coins
+        done;
         let saved_counts =
           (* The v3 ledger section; v2 payloads end at the coins. *)
           if version < 3 then None
@@ -503,9 +509,9 @@ module Make (F : Field_intf.S) = struct
     let with_stats msg =
       Printf.sprintf
         "%s [refills=%d refill_attempts=%d backoff_rounds=%d coins=%d]" msg
-        counters.(0) counters.(8) counters.(9) (List.length coins)
+        counters.(0) counters.(8) counters.(9) (Queue.length coins)
     in
-    List.iter
+    Queue.iter
       (fun c ->
         if c.C.n <> n || c.C.fault_bound <> fault_bound then
           corrupt (with_stats "coin parameters inconsistent"))

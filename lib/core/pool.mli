@@ -126,7 +126,8 @@ module Make (F : Field_intf.S) : sig
       {!Safe_mode}. *)
 
   val available : t -> int
-  (** Sealed coins currently in the pool. *)
+  (** Sealed coins currently in the pool. O(1): the stock is a FIFO
+      that keeps its length. *)
 
   val refill_threshold : t -> int
   (** The refill watermark this pool was created/loaded with. *)
@@ -134,7 +135,9 @@ module Make (F : Field_intf.S) : sig
   val headroom : t -> int
   (** [available - refill_threshold]: how many draws the pool can serve
       before a draw pays a Coin-Gen refill inline. The beacon's
-      admission control treats [headroom <= 0] as pool pressure. *)
+      admission control treats [headroom <= 0] as pool pressure and
+      reads it on every request, so it is O(1) like {!available}: a
+      larger batch does not make admission slower. *)
 
   val prefetch : t -> upcoming:int -> unit
   (** Pending-demand signal: refill (possibly repeatedly) until

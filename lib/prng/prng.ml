@@ -1,26 +1,36 @@
 (* SplitMix64. Reference: Steele, Lea & Flood, "Fast splittable
    pseudorandom number generators", OOPSLA 2014. *)
 
-type t = { mutable state : int64 }
+(* The 64-bit state sits in an 8-byte buffer, so advancing it stores no
+   boxed int64, as a mutable int64 field would on every update. *)
+type t = bytes
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = seed }
+let[@inline] state g = Bytes.get_int64_le g 0
+let[@inline] set_state g s = Bytes.set_int64_le g 0 s
+
+let create seed =
+  let g = Bytes.create 8 in
+  set_state g seed;
+  g
 
 let of_int seed = create (Int64.of_int seed)
 
-let copy g = { state = g.state }
+let copy = Bytes.copy
 
 (* The 64-bit finalizer of MurmurHash3, variant from the SplitMix64
-   reference implementation. *)
-let mix z =
+   reference implementation. Inlined so that loops over it keep their
+   state unboxed. *)
+let[@inline] mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
 let next_int64 g =
-  g.state <- Int64.add g.state golden_gamma;
-  mix g.state
+  let s = Int64.add (state g) golden_gamma in
+  set_state g s;
+  mix s
 
 (* A distinct finalizer for deriving split-off streams, per the paper's
    recommendation to decorrelate the child gamma/seed from the parent. *)
@@ -30,8 +40,7 @@ let mix_gamma z =
   Int64.(logxor z (shift_right_logical z 33))
 
 let split g =
-  let seed = next_int64 g in
-  { state = mix_gamma seed }
+  create (mix_gamma (next_int64 g))
 
 let split_n g n =
   assert (n >= 0);
@@ -45,6 +54,19 @@ let bits g w =
   else Int64.to_int (Int64.shift_right_logical (next_int64 g) (64 - w))
 
 let bool g = Int64.compare (next_int64 g) 0L < 0
+
+(* [n] calls of [bool] with the state in a local; only the final state
+   is written back. A draw is true when the output's top bit is set, as
+   in [bool]. *)
+let bools g n =
+  let a = Array.make n false in
+  let s = ref (state g) in
+  for i = 0 to n - 1 do
+    s := Int64.add !s golden_gamma;
+    a.(i) <- Int64.shift_right_logical (mix !s) 63 = 1L
+  done;
+  set_state g !s;
+  a
 
 let int g bound =
   assert (bound > 0);

@@ -46,6 +46,10 @@ val int : t -> int -> int
 val bool : t -> bool
 (** Uniform random boolean. *)
 
+val bools : t -> int -> bool array
+(** [bools g n] is [Array.init n (fun _ -> bool g)], and leaves [g] in
+    the same state, without allocating per draw. [n >= 0]. *)
+
 val int64_nonneg : t -> int64
 (** Uniform random non-negative int64 (top bit cleared). *)
 

@@ -43,6 +43,187 @@ let test_hash_basics () =
   Alcotest.(check bool) "bad hex is rejected" true
     (Result.is_error (Beacon_hash.of_hex "zz"))
 
+(* --- known answers ----------------------------------------------------- *)
+
+(* Digests, MACs, a chain head and vended bits recorded with the
+   record-based sponge and the per-request preimage writer that came
+   before the allocation-free vend path. Journals and snapshots written
+   by that build must still verify on replay, and dedup must return the
+   bits it first vended, so none of these values may ever change. *)
+
+let kat_lengths = List.init 18 Fun.id @ [ 33 ]
+
+let kat_message len =
+  Bytes.init len (fun i -> Char.chr (((i * 131) + 7) land 0xFF))
+
+let kat_digests =
+  [
+    "5649eed9dd9581e2939b9390480ff45b";
+    "e9f0dfa6f7e99580773022c34bd5244a";
+    "90070409f8bfe4ce0d5313e3da6f87c8";
+    "d685f34f795bdc8aeca634c68b2ceea4";
+    "a75ce7fe9628691ca7c5ddbb6117be81";
+    "20d262b59f7f7931b9a36b533e9a81d5";
+    "81d1fc7f776c6c49ef59aa1535c3b302";
+    "63cca42063d1b2ddf197b4bbdcc6edfb";
+    "9cc2c74f05b337743b758554c49aea61";
+    "5035e7d81be922452f97e06e4c841f52";
+    "b91aefed6bfa9b5c20ee4264241f8483";
+    "bb27b6959ecf574964dd15e4649465c0";
+    "e4b0182fbdf25df34df1343d21548ec5";
+    "93aaa23f2aeae09cfda5e025c6ba133f";
+    "b73f578c51aad9630fac334112a73161";
+    "0127790d3102e008750cf4938ed6b15f";
+    "1a20e8ee3a82ad6a5aa5f39a9d530d73";
+    "420f2f9574f8feb478524935f411bf4a";
+    "fbdb9ab2f24b5c61cb14d25616940004";
+  ]
+
+let kat_macs =
+  [
+    ( "",
+      [
+        "d8488a7464a9d57b8391439b4fe5cadd";
+        "0aaed4c4d18c9d061091a55c1ebcfef0";
+        "6fab065f1834ee513c7cd235e16fa428";
+        "c39e30d98f9302325e4b5b89e16a9f8f";
+        "412a9050f04d5f3811f1c98e0151348c";
+        "5809d9043ba214f95655414b035c581c";
+        "2606b05099201cf434da1b8ed493d7ec";
+        "8b14e32bba28b7a2d8d037976fca4040";
+        "bd8358d34cfc74fcb729c2690cae7834";
+        "e157b9d8bf55ad0f47d9dff632df6e6d";
+        "2742f6b404b86533b3e001dd75343211";
+        "7e1c084d55870a5de68b68705137e23f";
+        "db5fe5a100218aca8b4ce0b6ee999003";
+        "4fec81d537ba5dd364436e968bf37367";
+        "3164173e06f2df2907cb437c16bf1ce6";
+        "213279af554399c381f747ba75b9677f";
+        "a5943277af2e1091cce82baeb141766a";
+        "cc757ea90e7f8365e8e0d4679ce039ac";
+        "9ebcb253184c5dde0b5e2feec79829c0";
+      ] );
+    ( "dprbg-beacon",
+      [
+        "7cee419be3b2e3b15d2611d0f4488b6b";
+        "284fdf14ac648742afed0739fdec3795";
+        "b685aa1ab46d8d81507a68e1327850bc";
+        "00ed699ee12c3efee8cb72432927b625";
+        "704e7cc0a604046317fddd230dcb6712";
+        "fa831ab61e6b0f0ee2450bd59723da49";
+        "4a568837a4b9a34a62ad4856fc8f7cdd";
+        "9fc83df987fac1e019c35c6b2d798701";
+        "2c7199bb98c40f630577236886e11657";
+        "0e33a3e2f7b527a5493a2ad7ab6ccd5a";
+        "599a923151c4b4b5a5cc2372980b6eb1";
+        "470cc53044d1859447b70ce4ca75c02a";
+        "7ac3552d709ac9cdc3d877d3dabcc9ff";
+        "a887a767c0c874c49e53a7cabf078d2c";
+        "626ce22a14e36da5d5cf3e391fdca7d0";
+        "b88d9ef78b52596823363f1400169aff";
+        "badecbeb365d7cde27581bee257ad4f1";
+        "09ca26100b1b153f5e986c66d323c3b0";
+        "a8decc6872e1663f340479d336923578";
+      ] );
+    ( "nine-byte",
+      [
+        "b4febceb1c89ac7c53b83cf8faf8015d";
+        "ab229e49a97e2e72e952677a2f053ebf";
+        "cfb9b32689342044bac8243688c80f6c";
+        "cd6e98e4bf8ffa4f440b9c4d410da982";
+        "bd7c652d872daa81007d38c0f1ad8654";
+        "201fa57e8c06de7d4f31bc17f2691480";
+        "1192c56d9a5210953a6b4efa67258075";
+        "6c26aaebbb7700311f57ebf6179642c4";
+        "afca6435e273a0116ff9d6e53eb1c6bf";
+        "20cd643b4bc71fa571a182365e78a0a8";
+        "787ddcd8c279f539a4e273e79dcf6baf";
+        "d34888278c20c3e2d005d6934858da95";
+        "1e80ba51ff4077821da1f46360800d28";
+        "fcd908f4fb357a6ee021a858022471a5";
+        "dfa31449eeb024b509d4f87cbf37132b";
+        "0d2de08251c78d32b9e0439fe009d440";
+        "f2fd1ccffd47958a9b02c7de71bfdba2";
+        "5ad5d9154217919641c73a6bb5468ba3";
+        "4a411c0299723e5bd6778701079cb601";
+      ] );
+  ]
+
+let test_hash_known_answers () =
+  let hexes f =
+    List.map (fun len -> Beacon_hash.to_hex (f (kat_message len))) kat_lengths
+  in
+  Alcotest.(check (list string))
+    "digests" kat_digests (hexes Beacon_hash.digest);
+  List.iter
+    (fun (key, expected) ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "MACs under key %S" key)
+        expected
+        (hexes (Beacon_hash.mac ~key)))
+    kat_macs;
+  Alcotest.(check (list int64))
+    "PRNG seeds"
+    [ 5159774897943201474L; -5360551849850826856L; -1813281731970194524L ]
+    (List.map
+       (fun len -> Beacon_hash.to_seed (Beacon_hash.digest (kat_message len)))
+       [ 0; 9; 33 ])
+
+(* Six epochs over a GF(2^16) pool, crossing a refill, with widths 1,
+   16 (the field's default), 64 and 65 and with every other request
+   under a client id. The vended bits are hashed with MD5, which
+   nothing in the beacon uses. *)
+let test_vend_known_answers () =
+  let b = BC.create ~key:"kat-key" ~pool:(mk_pool 2024) () in
+  let vended = Buffer.create 1024 in
+  let record f =
+    Buffer.add_string vended
+      (Printf.sprintf "%d@%d:" f.BC.request_id f.BC.epoch);
+    Array.iter
+      (fun bit -> Buffer.add_char vended (if bit then '1' else '0'))
+      f.BC.bits;
+    Buffer.add_char vended '\n'
+  in
+  for epoch = 0 to 5 do
+    List.iteri
+      (fun j nbits ->
+        let id =
+          if j mod 2 = 1 then Some ((1000 * (epoch + 1)) + j) else None
+        in
+        match BC.request b ?id ~nbits ~callback:record () with
+        | Ok _ -> ()
+        | Error r -> Alcotest.failf "rejected: %s" (BC.reject_name r))
+      [ 1; 16; 64; 65 ];
+    ignore (ok_or_fail (BC.close_epoch b))
+  done;
+  Alcotest.(check int) "the run crosses a refill" 1
+    (PL.stats (BC.pool b)).PL.refills;
+  Alcotest.(check string) "chain head" "9d08376c3ada705f9208afc46ebbfcee"
+    (Beacon_hash.to_hex (BC.head b));
+  Alcotest.(check string) "vended bits" "2ec659c99e98b5496b45620f98e4d51e"
+    (Digest.to_hex (Digest.string (Buffer.contents vended)))
+
+(* The sponge against a verbatim copy of the record-based one it
+   replaced, over messages of 0-64 bytes (every partial-block length)
+   and keys of 0-24 bytes. *)
+let prop_sponge_matches_reference =
+  let module R = Beacon_hash_reference in
+  QCheck.Test.make ~count:500 ~name:"sponge matches the record-based reference"
+    QCheck.(
+      pair
+        (string_of_size (Gen.int_range 0 64))
+        (string_of_size (Gen.int_range 0 24)))
+    (fun (msg, key) ->
+      let b = Bytes.of_string msg in
+      let same h r =
+        Bytes.equal (Beacon_hash.to_bytes h) (R.to_bytes r)
+        && Int64.equal (Beacon_hash.to_seed h) (R.to_seed r)
+      in
+      let d = Beacon_hash.digest b and m = Beacon_hash.mac ~key b in
+      same d (R.digest b)
+      && same m (R.mac ~key b)
+      && Bytes.to_string b = msg)
+
 (* --- liveness and amortization -------------------------------------- *)
 
 let test_vend_liveness () =
@@ -299,6 +480,55 @@ let test_snapshot_rejects_mismatch_and_damage () =
   | _ -> Alcotest.fail "restored a damaged snapshot"
   | exception BC.Corrupt_snapshot _ -> ()
 
+(* Ids are u32 on the wire. An id that does not fit is refused at
+   admission, before any state changes; admitted, it used to make the
+   next close raise mid-vend, after earlier callbacks had fired for an
+   epoch that never entered the chain. *)
+let test_out_of_range_ids_rejected () =
+  let b = mk () in
+  let fired = ref [] in
+  let callback f = fired := f :: !fired in
+  let admit ?id b =
+    match BC.request b ?id ~callback () with
+    | Ok id -> id
+    | Error r -> Alcotest.failf "rejected: %s" (BC.reject_name r)
+  in
+  let refused what f =
+    match f () with
+    | _ -> Alcotest.failf "%s was admitted" what
+    | exception Invalid_argument _ -> ()
+  in
+  let first = admit b in
+  let client = admit ~id:77 b in
+  refused "id 2^32" (fun () -> BC.request b ~id:(1 lsl 32) ~callback ());
+  refused "id 0" (fun () -> BC.request b ~id:0 ~callback ());
+  refused "a negative id" (fun () -> BC.request b ~id:(-5) ~callback ());
+  let top = admit ~id:0xFFFF_FFFF b in
+  refused "an assigned id past 0xFFFF_FFFF" (fun () ->
+      BC.request b ~callback ());
+  Alcotest.(check int) "a queued id still resubmits" top (admit ~id:top b);
+  Alcotest.(check int) "refusals left the queue alone" 3 (BC.pending b);
+  let e = ok_or_fail (BC.close_epoch b) in
+  Alcotest.(check int) "every admitted request vends" 3 e.BC.vended;
+  Alcotest.(check int) "next_seq advances" 1 (BC.next_seq b);
+  Alcotest.(check (list int)) "one callback each, in admission order"
+    [ first; client; top ]
+    (List.rev_map (fun f -> f.BC.request_id) !fired);
+  List.iter
+    (fun f -> Alcotest.(check int) "stamped with the sealed epoch" 0 f.BC.epoch)
+    !fired;
+  let b' =
+    BC.load ~prng:(Prng.of_int 5) ~batch_size:16 ~refill_threshold:3
+      (BC.save b)
+  in
+  Alcotest.(check int) "the restored beacon resumes the chain" 1
+    (BC.next_seq b');
+  refused "an assigned id after restore" (fun () ->
+      BC.request b' ~callback ());
+  ignore (admit ~id:9 b');
+  let e' = ok_or_fail (BC.close_epoch b') in
+  Alcotest.(check int) "client ids still vend after restore" 1 e'.BC.vended
+
 (* --- tracing --------------------------------------------------------- *)
 
 let test_vend_trace_events () =
@@ -354,6 +584,9 @@ let test_arrivals () =
 let suite =
   [
     Alcotest.test_case "hash: digest/mac/hex basics" `Quick test_hash_basics;
+    Alcotest.test_case "hash: known answers" `Quick test_hash_known_answers;
+    Alcotest.test_case "vend: known chain head and bits" `Quick
+      test_vend_known_answers;
     Alcotest.test_case "vend: liveness and amortization" `Quick
       test_vend_liveness;
     Alcotest.test_case "vend: deterministic, per-request streams" `Quick
@@ -376,4 +609,8 @@ let suite =
       test_vend_trace_events;
     Alcotest.test_case "arrivals: deterministic, mean-correct" `Quick
       test_arrivals;
+    Alcotest.test_case "admission: out-of-range ids refused" `Quick
+      test_out_of_range_ids_rejected;
   ]
+  @ List.map (QCheck_alcotest.to_alcotest ~long:false)
+      [ prop_sponge_matches_reference ]

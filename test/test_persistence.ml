@@ -78,6 +78,37 @@ let test_pool_save_restore () =
   Alcotest.(check int) "draws served" 55 s.PL.coins_exposed;
   Alcotest.(check int) "no unanimity failures" 0 s.PL.unanimity_failures
 
+(* CRC-32s of [Pool.save] recorded before the stock became a FIFO: the
+   same coins in the same order must still produce the same bytes, after
+   draws that cross refills and after a proactive refresh. A reload
+   rebuilds the stock in that order, so saving it again is
+   byte-identical. *)
+let test_pool_snapshot_known_answers () =
+  let p =
+    PL.create ~prng:(Prng.of_int 4) ~n ~t ~batch_size:16 ~refill_threshold:3
+      ~initial_seed:6 ()
+  in
+  for _ = 1 to 25 do
+    ignore (PL.draw_kary p)
+  done;
+  Alcotest.(check int) "the draws cross two refills" 2 (PL.stats p).PL.refills;
+  let after_draws = PL.save p in
+  Alcotest.(check int) "CRC-32 after the draws" 0xcda97319
+    (Wire.Crc32.digest after_draws);
+  PL.refresh p;
+  Alcotest.(check int) "one refresh ran" 1 (PL.stats p).PL.refreshes;
+  let after_refresh = PL.save p in
+  Alcotest.(check int) "CRC-32 after the refresh" 0x712b3663
+    (Wire.Crc32.digest after_refresh);
+  List.iter
+    (fun saved ->
+      let q =
+        PL.load ~prng:(Prng.of_int 9) ~batch_size:16 ~refill_threshold:3 saved
+      in
+      Alcotest.(check bool) "load then save is byte-identical" true
+        (Bytes.equal saved (PL.save q)))
+    [ after_draws; after_refresh ]
+
 let test_restore_validation () =
   let p =
     PL.create ~prng:(Prng.of_int 5) ~n ~t ~batch_size:16 ~refill_threshold:3
@@ -349,6 +380,8 @@ let suite =
       test_generated_coin_roundtrip;
     Alcotest.test_case "read rejects garbage" `Quick test_read_rejects_garbage;
     Alcotest.test_case "pool save/restore" `Quick test_pool_save_restore;
+    Alcotest.test_case "pool snapshot known answers" `Quick
+      test_pool_snapshot_known_answers;
     Alcotest.test_case "restore validation" `Quick test_restore_validation;
     Alcotest.test_case "load rejects every bit flip" `Quick
       test_load_rejects_every_flip;

@@ -282,6 +282,84 @@ let prop_conservation =
       = s.PL.coins_exposed + s.PL.seed_coins_consumed + PL.available p
       && s.PL.unanimity_failures = 0)
 
+(* [available] against a model count. The model starts at the dealer's
+   coins and moves only by what the stats say an operation generated,
+   exposed or spent as seed; a save/load round trip must leave it
+   alone. Half the runs face a hostile adversary under a one-iteration
+   BA, so Coin-Gen fails whenever a faulty leader is drawn: refills
+   retry, and refreshes take their failure path, which puts the coins
+   back and raises [Starved]. *)
+let hostile_pool ~hostile g =
+  let fault_sets = Array.init 8 (fun _ -> Net.Faults.random g ~n ~t) in
+  let adversary refill =
+    if hostile then
+      CG.faulty_with ~as_gradecast_dealer:Gradecast.Dealer_silent
+        ~as_ba:(Phase_king.Fixed false)
+        fault_sets.(refill mod 8)
+    else CG.honest_adversary
+  in
+  let create () =
+    PL.create ~adversary ~max_ba_iterations:1 ~prng:(Prng.split g) ~n ~t
+      ~batch_size:16 ~refill_threshold:8 ~initial_seed:9 ()
+  in
+  let reload p =
+    PL.load ~adversary ~max_ba_iterations:1 ~prng:(Prng.split g)
+      ~batch_size:16 ~refill_threshold:8 (PL.save p)
+  in
+  (create, reload)
+
+let prop_available_matches_model =
+  QCheck.Test.make ~count:30 ~name:"available matches a model count"
+    QCheck.(pair int (int_range 10 40))
+    (fun (seed, ops) ->
+      let g = Prng.of_int seed in
+      let create, reload = hostile_pool ~hostile:(seed mod 2 = 0) g in
+      let p = ref (create ()) in
+      let model = ref 9 in
+      let ok = ref (PL.available !p = !model) in
+      for _ = 1 to ops do
+        let s0 = PL.stats !p in
+        (try
+           match Prng.int g 6 with
+           | 0 -> PL.refresh !p
+           | 1 -> PL.prefetch !p ~upcoming:(1 + Prng.int g 20)
+           | 2 -> p := reload !p
+           | _ -> ignore (PL.draw_kary !p)
+         with PL.Starved _ -> ());
+        let s1 = PL.stats !p in
+        model :=
+          !model
+          + (s1.PL.generated_coins - s0.PL.generated_coins)
+          - (s1.PL.coins_exposed - s0.PL.coins_exposed)
+          - (s1.PL.seed_coins_consumed - s0.PL.seed_coins_consumed);
+        ok := !ok && PL.available !p = !model
+      done;
+      !ok)
+
+(* The failure path of [refresh] on its own: find a seed whose refresh
+   fails, and check the stock lost only the seed the failed run spent. *)
+let test_refresh_failure_restores_stock () =
+  let rec find seed =
+    if seed > 200 then Alcotest.fail "no refresh failed in 200 seeds"
+    else
+      let create, _ = hostile_pool ~hostile:true (Prng.of_int seed) in
+      let p = create () in
+      for _ = 1 to 3 do
+        ignore (PL.draw_kary p)
+      done;
+      let before = PL.available p and s0 = PL.stats p in
+      match PL.refresh p with
+      | () -> find (seed + 1)
+      | exception PL.Starved _ ->
+          let s1 = PL.stats p in
+          Alcotest.(check int) "no refresh counted" s0.PL.refreshes
+            s1.PL.refreshes;
+          Alcotest.(check int) "the coins came back, less the seed spent"
+            (before - (s1.PL.seed_coins_consumed - s0.PL.seed_coins_consumed))
+            (PL.available p)
+  in
+  find 1
+
 (* --- sentinel attribution through the pool (DESIGN section 14) ----- *)
 
 (* Two persistent exposure-time liars (exactly t of them): an active
@@ -401,5 +479,8 @@ let suite =
       test_safe_mode_beyond_fault_bound;
     Alcotest.test_case "passive ledger bit-identical" `Quick
       test_passive_ledger_bit_identical;
+    Alcotest.test_case "refresh failure restores the stock" `Quick
+      test_refresh_failure_restores_stock;
   ]
-  @ List.map (QCheck_alcotest.to_alcotest ~long:false) [ prop_conservation ]
+  @ List.map (QCheck_alcotest.to_alcotest ~long:false)
+      [ prop_conservation; prop_available_matches_model ]

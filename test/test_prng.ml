@@ -176,6 +176,23 @@ let test_split_n () =
   in
   Alcotest.(check int) "first outputs distinct" 5 distinct
 
+(* [bools] is [bool] in bulk: the same draws, and the generator left
+   where [n] calls of [bool] would leave it. *)
+let test_bools_empty () =
+  let g = Prng.of_int 12 and h = Prng.of_int 12 in
+  Alcotest.(check int) "no draws" 0 (Array.length (Prng.bools g 0));
+  Alcotest.(check int64) "state untouched" (Prng.next_int64 h)
+    (Prng.next_int64 g)
+
+let prop_bools_matches_bool =
+  QCheck.Test.make ~count:300 ~name:"bools equals repeated bool, state included"
+    QCheck.(pair int (int_range 0 200))
+    (fun (seed, n) ->
+      let g = Prng.of_int seed and h = Prng.of_int seed in
+      let bulk = Prng.bools g n in
+      let one_by_one = Array.init n (fun _ -> Prng.bool h) in
+      bulk = one_by_one && Int64.equal (Prng.next_int64 g) (Prng.next_int64 h))
+
 let suite =
   [
     Alcotest.test_case "deterministic" `Quick test_deterministic;
@@ -195,4 +212,8 @@ let suite =
     Alcotest.test_case "sample_distinct" `Quick test_sample_distinct;
     Alcotest.test_case "shuffle permutes" `Quick test_shuffle_permutes;
     Alcotest.test_case "split_n" `Quick test_split_n;
+    Alcotest.test_case "bools of zero draws" `Quick test_bools_empty;
   ]
+  @ List.map
+      (QCheck_alcotest.to_alcotest ~long:false)
+      [ prop_bools_matches_bool ]
