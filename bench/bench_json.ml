@@ -80,14 +80,20 @@ let mults_of f =
 (* Allocated words per op: exact allocation accounting (minor + major,
    [Gc.allocated_bytes] deltas), normalized per iteration. The op is
    warmed first so one-time table/cache fills are not charged to the
-   steady state the zero-alloc paths are gated on. *)
+   steady state the zero-alloc paths are gated on. On OCaml 5 the
+   counter takes in the minor heap's allocations only at a minor
+   collection, so each read is preceded by one (outside any timing);
+   otherwise the reading depends on where the iteration count left the
+   minor heap. *)
 let alloc_words_of iters f =
   ignore (f ());
   let words_per_byte = 1.0 /. float_of_int (Sys.word_size / 8) in
+  Gc.minor ();
   let before = Gc.allocated_bytes () in
   for _ = 1 to iters do
     ignore (f ())
   done;
+  Gc.minor ();
   (Gc.allocated_bytes () -. before) *. words_per_byte /. float_of_int iters
 
 let measure ~op ~field ~n ~t ~m ~iters ~naive ~plan =

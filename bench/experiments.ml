@@ -616,14 +616,15 @@ let bootstrap ~quick =
 
 (* ------------------------------------------------------------ E13 -- *)
 
-let time_mults (type a) (module F : Field_intf.S with type t = a) =
-  let g = Prng.of_int 13131 in
-  let xs = Array.init 256 (fun _ -> F.random_nonzero g) in
-  (* Warm up, then time batches until >= 0.2 s elapsed. *)
+(* ns per product of [mul], chained over 256 random non-zero elements:
+   warm up, then time batches until >= 0.2 s elapsed. *)
+let time_mul ?(seed = 13131) random_nonzero mul =
+  let g = Prng.of_int seed in
+  let xs = Array.init 256 (fun _ -> random_nonzero g) in
   let batch () =
     let acc = ref xs.(0) in
     for i = 1 to 255 do
-      acc := F.mul !acc xs.(i)
+      acc := mul !acc xs.(i)
     done;
     !acc
   in
@@ -637,36 +638,25 @@ let time_mults (type a) (module F : Field_intf.S with type t = a) =
   let elapsed = Sys.time () -. start in
   elapsed /. fi (!iters * 255) *. 1e9
 
+let time_mults (type a) (module F : Field_intf.S with type t = a) =
+  time_mul F.random_nonzero F.mul
+
 let field_crossover ~quick =
   ignore quick;
-  (* The naive wide rows must time the O(k^2) schoolbook kernel
-     explicitly: [Gf2_wide.mul] dispatches to Karatsuba above the limb
-     threshold, which would silently turn this paper-baseline row into
-     the production path. *)
+  (* The naive rows time the shift-and-xor / schoolbook reference
+     explicitly: [Gf2k.Make.mul] runs off exp/log tables up to k = 16
+     and a branch-free word loop above, and [Gf2_wide.mul] dispatches to
+     Karatsuba above the limb threshold; either would silently turn a
+     paper-baseline row into the production path. *)
+  let time_naive (module K : Gf2k.S) = time_mul K.random_nonzero K.mul_naive in
   let time_schoolbook (module W : Wide_field) =
-    let g = Prng.of_int 13131 in
-    let xs = Array.init 256 (fun _ -> W.random_nonzero g) in
-    let batch () =
-      let acc = ref xs.(0) in
-      for i = 1 to 255 do
-        acc := W.mul_schoolbook !acc xs.(i)
-      done;
-      !acc
-    in
-    ignore (batch ());
-    let start = Sys.time () in
-    let iters = ref 0 in
-    while Sys.time () -. start < 0.2 do
-      ignore (batch ());
-      incr iters
-    done;
-    (Sys.time () -. start) /. fi (!iters * 255) *. 1e9
+    time_mul W.random_nonzero W.mul_schoolbook
   in
   let naive =
     [
-      ("naive GF(2^16)", 16, time_mults (module Gf2k.GF16));
-      ("naive GF(2^32)", 32, time_mults (module Gf2k.GF32));
-      ("naive GF(2^61)", 61, time_mults (module Gf2k.GF61));
+      ("naive GF(2^16)", 16, time_naive (module Gf2k.GF16));
+      ("naive GF(2^32)", 32, time_naive (module Gf2k.GF32));
+      ("naive GF(2^61)", 61, time_naive (module Gf2k.GF61));
       ("naive GF(2^64) wide", 64, time_schoolbook (module Gf2_wide.GF64));
       ("naive GF(2^128) wide", 128, time_schoolbook (module Gf2_wide.GF128));
       ("naive GF(2^256) wide", 256, time_schoolbook (module Gf2_wide.GF256));
@@ -679,29 +669,17 @@ let field_crossover ~quick =
       ("FFT GF(q^l) ~k=256", 256, time_mults (module Fft_field.GF_k256));
     ]
   in
-  (* Karatsuba rows (production optimization, not the paper's baseline):
-     same field as 'wide', sub-quadratic multiplication. *)
+  (* Production rows (optimizations, not the paper's baseline): the
+     same fields' [mul] — tabled at k = 16, the word loop at 32 and 61,
+     Karatsuba on the wide words. *)
   let time_karatsuba (module W : Wide_field) =
-    let g = Prng.of_int 13132 in
-    let xs = Array.init 256 (fun _ -> W.random_nonzero g) in
-    let batch () =
-      let acc = ref xs.(0) in
-      for i = 1 to 255 do
-        acc := W.mul_karatsuba !acc xs.(i)
-      done;
-      !acc
-    in
-    ignore (batch ());
-    let start = Sys.time () in
-    let iters = ref 0 in
-    while Sys.time () -. start < 0.2 do
-      ignore (batch ());
-      incr iters
-    done;
-    (Sys.time () -. start) /. fi (!iters * 255) *. 1e9
+    time_mul ~seed:13132 W.random_nonzero W.mul_karatsuba
   in
-  let karatsuba =
+  let production =
     [
+      ("tabled GF(2^16)", 16, time_mults (module Gf2k.GF16));
+      ("word GF(2^32)", 32, time_mults (module Gf2k.GF32));
+      ("word GF(2^61)", 61, time_mults (module Gf2k.GF61));
       ("karatsuba GF(2^128)", 128, time_karatsuba (module Gf2_wide.GF128));
       ("karatsuba GF(2^256)", 256, time_karatsuba (module Gf2_wide.GF256));
     ]
@@ -717,7 +695,7 @@ let field_crossover ~quick =
     ~headers:[ "field"; "k"; "ns/mult" ]
     (List.map
        (fun (label, k, ns) -> Table.[ S label; I k; F ns ])
-       (naive @ fft @ karatsuba));
+       (naive @ fft @ production));
   (* Fit the two asymptotic models on the wide-word points and report the
      predicted crossover — the 'figure' of this experiment. *)
   let fit points f =

@@ -11,7 +11,11 @@ type 'v follower_behavior =
 
 type 'v outcome = { value : 'v option; confidence : int }
 
-(* The most-supported value among a list, with its support count. *)
+(* The most-supported value among a list, with its support count; the
+   first value to reach the maximum wins. An element equal to the
+   current best has the same count, so it cannot win and is not
+   counted: when every echo agrees, the tally is one pass plus one
+   comparison per element. *)
 let best_supported ~equal received =
   let rec count v = function
     | [] -> 0
@@ -19,9 +23,13 @@ let best_supported ~equal received =
   in
   let rec scan best best_count = function
     | [] -> (best, best_count)
-    | v :: rest ->
-        let c = count v received in
-        if c > best_count then scan (Some v) c rest else scan best best_count rest
+    | v :: rest -> (
+        match best with
+        | Some b when equal b v -> scan best best_count rest
+        | Some _ | None ->
+            let c = count v received in
+            if c > best_count then scan (Some v) c rest
+            else scan best best_count rest)
   in
   scan None 0 received
 
@@ -44,15 +52,18 @@ let run_all ?(dealer_behavior = fun _ -> Dealer_honest)
   let inbox1 =
     Transport.exchange net ~send:(fun () ->
         for d = 0 to n - 1 do
-          let slot dst =
-            let msg = Array.make n None in
-            (match dealer_behavior d with
-            | Dealer_honest -> msg.(d) <- Some (values d)
-            | Dealer_silent -> ()
-            | Dealer_equivocate f -> msg.(d) <- f dst);
-            msg
+          let slot =
+            match dealer_behavior d with
+            | Dealer_honest ->
+                let v = Some (values d) in
+                fun _ -> v
+            | Dealer_silent -> fun _ -> None
+            | Dealer_equivocate f -> f
           in
-          Transport.send_to_all net ~src:d slot
+          Transport.send_to_all net ~src:d (fun dst ->
+              let msg = Array.make n None in
+              msg.(d) <- slot dst;
+              msg)
         done)
   in
   let received_from_dealer =

@@ -34,6 +34,14 @@ type 'v follower_behavior =
 
 type 'v outcome = { value : 'v option; confidence : int }
 
+val best_supported : equal:('v -> 'v -> bool) -> 'v list -> 'v option * int
+(** The echo tally behind every grade: the most-supported value in the
+    list with its support count ([(None, 0)] for an empty list); among
+    values of equal support the first in list order wins. An element
+    equal to the best so far is not recounted, so a list whose elements
+    all agree costs one comparison per element after the first full
+    count. *)
+
 val run :
   ?dealer_behavior:'v dealer_behavior ->
   ?follower_behavior:(int -> 'v follower_behavior) ->

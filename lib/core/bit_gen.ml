@@ -67,8 +67,8 @@ module Make (F : Field_intf.S) = struct
         | Matrix _ -> ());
         Some matrix
 
-  (* Fig. 4 step 5: decode F through the gammas with >= n - t support. *)
-  let decode_check ~n ~t gammas =
+  (* Berlekamp-Welch over the present gammas, requiring n - t support. *)
+  let decode_bw ~n ~t gammas =
     let points =
       List.filter_map
         (fun k -> Option.map (fun v -> (S.eval_point k, v)) gammas.(k))
@@ -88,6 +88,22 @@ module Make (F : Field_intf.S) = struct
           in
           (Some f, in_support)
       | Some _ | None -> (None, Array.make n false)
+
+  (* Fig. 4 step 5: decode F through the gammas with >= n - t support.
+     Fast path: when all n gammas are present and lie on one degree-<= t
+     polynomial, that polynomial is the unique Berlekamp-Welch decode
+     (n >= t + 1 + 2e) and every point supports it, so one grid check
+     and one coefficient read-off replace the decoder. Berlekamp-Welch
+     runs only on a vector that is incomplete or off its polynomial. *)
+  let decode_check ~n ~t gammas =
+    let fast =
+      if Array.for_all Option.is_some gammas then
+        S.G.interpolate_checked (S.grid ~n ~t) (Array.map Option.get gammas)
+      else None
+    in
+    match fast with
+    | Some coeffs -> (Some (P.of_coeffs coeffs), Array.make n true)
+    | None -> decode_bw ~n ~t gammas
 
   let run ?(dealer_behavior = Honest_dealer)
       ?(gamma_behavior = fun _ -> Honest_gamma) ~prng ~n ~t ~m ~dealer ~r () =

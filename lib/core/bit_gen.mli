@@ -5,7 +5,8 @@
     elements to each player); after the check coin [r] is exposed, every
     player sends the single Horner-combined value
     [gamma_i = r^M a_iM + ... + r a_i1] to everyone; each player then
-    runs the Berlekamp–Welch decoder over the [gamma]s it received and
+    decodes the [gamma]s it received (one interpolation when none is
+    missing or wrong, the Berlekamp–Welch decoder otherwise) and
     accepts the dealer iff some degree-[<= t] polynomial [F] agrees with
     at least [n - t] of them, outputting [(F, S)] where [S] is the
     agreeing set (Fig. 4 step 5).
@@ -76,9 +77,19 @@ module Make (F : Field_intf.S) : sig
 
   val decode_check :
     n:int -> t:int -> F.t option array -> P.t option * bool array
-  (** Fig. 4 step 5 in isolation: Berlekamp–Welch over one player's
-      received [gamma]s, requiring [n - t] support. Exposed for
-      [Coin-Gen], which decodes one check polynomial per dealer. *)
+  (** Fig. 4 step 5 in isolation over one player's received [gamma]s
+      (one per player, [None] when missing), requiring [n - t] support.
+      Fast path first: when all [n] gammas are present and lie on one
+      degree-[<= t] polynomial, that polynomial is returned with full
+      support after one {!Grid.Make.interpolate_checked} (one
+      interpolation tick, no inversion). Otherwise Berlekamp–Welch
+      decodes the present gammas with [e = (m - t - 1) / 2] errors; its
+      answer is the same polynomial whenever the fast path applies,
+      because [n >= t + 1 + 2e] makes the decode unique. A vector that
+      is complete but off its polynomial ticks two interpolations (the
+      check and the decoder). Exposed for [Coin-Gen], which decodes one
+      check polynomial per dealer and reads its support as the graph
+      edges. *)
 
   val deal_matrix :
     dealer_behavior -> Prng.t -> n:int -> t:int -> m:int -> F.t array array option

@@ -15,7 +15,8 @@ module Make (F : Field_intf.S) = struct
     let coeffs_equal x y =
       Array.length x = Array.length y && Array.for_all2 F.equal x y
     in
-    a.clique = b.clique
+    a == b
+    || a.clique = b.clique
     && List.length a.polys = List.length b.polys
     && List.for_all2
          (fun (i, p) (j, q) -> i = j && coeffs_equal p q)
@@ -258,19 +259,15 @@ module Make (F : Field_intf.S) = struct
             if rejections >= t + 1 then Some (j, Sentinel.Rejected_dealing)
             else None)
           (List.init n Fun.id));
+    (* Edge j -> k when k's gamma lies on F_j: exactly the support
+       decode_check returned (all-false for a rejected dealer). *)
     let cliques =
       Array.init n (fun i ->
           let dg = Player_graph.directed_create ~n in
           for j = 0 to n - 1 do
-            match fst checks.(i).(j) with
-            | None -> ()
-            | Some fj ->
-                for k = 0 to n - 1 do
-                  match gammas.(i).(k).(j) with
-                  | Some v when F.equal (P.eval fj (S.eval_point k)) v ->
-                      Player_graph.add_edge dg j k
-                  | Some _ | None -> ()
-                done
+            Array.iteri
+              (fun k on_fj -> if on_fj then Player_graph.add_edge dg j k)
+              (snd checks.(i).(j))
           done;
           let ug = Player_graph.bidirectional_core dg in
           Player_graph.approx_clique ug ~min_size:(n - (2 * t)))

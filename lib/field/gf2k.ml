@@ -7,14 +7,27 @@
 
    For k <= 16 multiplication additionally runs off exp/log tables over
    the (cyclic) multiplicative group, mirroring the Zq_table trick: one
-   table lookup replaces the k-step shift-and-xor loop. The naive loop
-   is kept as the reference implementation ([mul_naive], and the whole
-   backend as [Make_untabled]) so equivalence stays testable and the
-   paper's naive-multiplication baseline stays measurable. *)
+   table lookup replaces the k-step shift-and-xor loop. Above that,
+   [Make] multiplies with [mul_word], a branch-free shift-and-xor over
+   the operand with fewer bits. The naive loop is kept as the reference
+   implementation ([mul_naive], and the whole backend as
+   [Make_untabled]) so equivalence stays testable and the paper's
+   naive-multiplication baseline stays measurable. *)
 
+(* Binary search over the 63-bit word in six halvings: [inv]'s Euclid
+   loop calls this at every step. *)
 let degree x =
-  let rec go i = if i < 0 then -1 else if x land (1 lsl i) <> 0 then i else go (i - 1) in
-  go 62
+  if x = 0 then -1
+  else begin
+    let d = ref 0 and x = ref x in
+    if !x lsr 32 <> 0 then begin d := 32; x := !x lsr 32 end;
+    if !x lsr 16 <> 0 then begin d := !d + 16; x := !x lsr 16 end;
+    if !x lsr 8 <> 0 then begin d := !d + 8; x := !x lsr 8 end;
+    if !x lsr 4 <> 0 then begin d := !d + 4; x := !x lsr 4 end;
+    if !x lsr 2 <> 0 then begin d := !d + 2; x := !x lsr 2 end;
+    if !x lsr 1 <> 0 then incr d;
+    !d
+  end
 
 let mul_mod ~modulus a b =
   let top = 1 lsl degree modulus in
@@ -30,6 +43,23 @@ let mul_mod ~modulus a b =
       go (a lsr 1) b acc
   in
   go a b 0
+
+(* The same product as [mul_mod] for a modulus of degree [k] and
+   operands below [2^k], with the constants hoisted and no branch on the
+   data bits: the accumulate and the reduction are each an [land] with
+   an all-ones-or-zero mask. The loop runs once per significant bit of
+   the smaller operand, so multiplying by a grid point (player [i] sits
+   at [i + 1]) takes a handful of steps. *)
+let mul_word ~k ~modulus a b =
+  let lo = if a < b then a else b and hi = if a < b then b else a in
+  let acc = ref 0 and a = ref lo and b = ref hi in
+  while !a <> 0 do
+    acc := !acc lxor (!b land -(!a land 1));
+    let b2 = !b lsl 1 in
+    b := b2 lxor (modulus land -(b2 lsr k));
+    a := !a lsr 1
+  done;
+  !acc
 
 let poly_mod a b =
   assert (b <> 0);
@@ -183,7 +213,11 @@ module Make_gen (P : PARAM) (T : sig val want_tables : bool end) = struct
 
   let mul =
     match tables with
-    | None -> mul_naive
+    | None when not T.want_tables -> mul_naive
+    | None ->
+        fun a b ->
+          Metrics.tick_mults 1;
+          mul_word ~k:P.k ~modulus a b
     | Some (exp_table, log_table) ->
         fun a b ->
           Metrics.tick_mults 1;

@@ -4,7 +4,10 @@
     [< k] polynomials over [GF(2)] packed into the low [k] bits of an
     [int]; multiplication is the naive shift-and-xor schoolbook method,
     i.e. [O(k)] word operations realizing the [O(k^2)] bit-operation
-    bound the paper quotes for naive multiplication. The paper remarks
+    bound the paper quotes for naive multiplication. {!Make} runs it off
+    exp/log tables up to [k = 16] and, above that, as a branch-free loop
+    over the operand with fewer significant bits; {!S.mul_naive} and
+    {!Make_untabled} keep the plain loop as the reference. The paper remarks
     that for small [k] this beats the asymptotically faster special field
     — experiment E13 measures exactly that crossover against
     {!Fft_field}.
@@ -20,7 +23,10 @@ end
 
 val table_threshold : int
 (** Largest [k] (16) for which {!Make} builds exp/log multiplication
-    tables; beyond it the shift-and-xor loop is the only path. *)
+    tables. Beyond it {!Make} multiplies with a branch-free shift-and-xor
+    loop whose step count is the bit length of the smaller operand (so
+    at most 4 steps against a player point at [n <= 15]); {!S.mul_naive}
+    remains the reference loop. *)
 
 module type S = sig
   include Field_intf.S
@@ -49,7 +55,9 @@ module Make (P : PARAM) : S
 (** Tabled multiplication when [P.k <= table_threshold]: [mul a b] is
     [exp.(log a + log b)] over a doubled exp table of the cyclic
     multiplicative group (the {!Zq_table} trick), with [inv] a single
-    lookup too. Each lookup still ticks exactly one mult/inv. *)
+    lookup too. Above the threshold [mul] is the branch-free word loop
+    and [inv] extended Euclid. Each operation still ticks exactly one
+    mult/inv. *)
 
 module Make_untabled (P : PARAM) : S
 (** Identical field, always on the naive shift-and-xor path — the

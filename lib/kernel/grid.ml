@@ -11,6 +11,11 @@ module Make (F : Field_intf.S) = struct
            over the first deg + 1 grid points: the full-grid degree
            check is "every later value equals its extension row dotted
            with the first deg + 1 values". *)
+    ivand : F.t array array;
+        (* ivand.(d).(j) = the x^d coefficient of that same L_j: the
+           inverse Vandermonde matrix of the first deg + 1 grid points,
+           so coefficient d of the interpolant is row d dotted with the
+           first deg + 1 values. *)
     weights0 : (int, F.t array) Hashtbl.t;
         (* subset bitset -> Lagrange-at-zero weights, ids ascending *)
     exts : (int, F.t array array) Hashtbl.t;
@@ -29,21 +34,24 @@ module Make (F : Field_intf.S) = struct
   let degree_bound plan = plan.deg
   let point plan i = plan.xs.(i)
 
+  (* Inverses of the Lagrange denominators prod_{m<>j} (bs.(j) - bs.(m))
+     over base points [bs]. *)
+  let inv_denoms bs =
+    let b = Array.length bs in
+    Array.init b (fun j ->
+        let d = ref F.one in
+        for m = 0 to b - 1 do
+          if m <> j then d := F.mul !d (F.sub bs.(j) bs.(m))
+        done;
+        (* Distinct grid points make the product non-zero. *)
+        F.inv !d)
+
   (* Lagrange basis rows over base points [bs]: for each y in [ys] the
      row of values L_j(y). Denominator inverses are shared across rows;
      the numerators come from prefix/suffix products of (y - bs.(m)),
      so each row costs O(|bs|) multiplications. *)
-  let basis_rows bs ys =
+  let basis_rows_with inv_denom bs ys =
     let b = Array.length bs in
-    let inv_denom =
-      Array.init b (fun j ->
-          let d = ref F.one in
-          for m = 0 to b - 1 do
-            if m <> j then d := F.mul !d (F.sub bs.(j) bs.(m))
-          done;
-          (* Distinct grid points make the product non-zero. *)
-          F.inv !d)
-    in
     Array.map
       (fun y ->
         let diff = Array.init b (fun m -> F.sub y bs.(m)) in
@@ -58,6 +66,31 @@ module Make (F : Field_intf.S) = struct
         Array.init b (fun j ->
             F.mul (F.mul pre.(j) suf.(j + 1)) inv_denom.(j)))
       ys
+
+  let basis_rows bs ys = basis_rows_with (inv_denoms bs) bs ys
+
+  (* Coefficient rows of the same basis: row d holds the x^d
+     coefficient of every L_j, each numerator prod_{m<>j} (x - bs.(m))
+     expanded one linear factor at a time. *)
+  let coeff_rows inv_denom bs =
+    let b = Array.length bs in
+    let cols =
+      Array.init b (fun j ->
+          let num = Array.make b F.zero in
+          num.(0) <- F.one;
+          let deg = ref 0 in
+          for m = 0 to b - 1 do
+            if m <> j then begin
+              for d = !deg + 1 downto 1 do
+                num.(d) <- F.sub num.(d - 1) (F.mul bs.(m) num.(d))
+              done;
+              num.(0) <- F.neg (F.mul bs.(m) num.(0));
+              incr deg
+            end
+          done;
+          Array.map (fun c -> F.mul c inv_denom.(j)) num)
+    in
+    Array.init b (fun d -> Array.init b (fun j -> cols.(j).(d)))
 
   (* Lagrange-at-zero weights for the point set [ps]: weight i is
      prod_{j<>i} (0 - x_j) / (x_i - x_j) — exactly the coefficients the
@@ -93,13 +126,15 @@ module Make (F : Field_intf.S) = struct
           done;
           row)
     in
-    let ext = basis_rows (Array.sub xs 0 (t + 1)) (Array.sub xs (t + 1) (n - t - 1)) in
+    let base = Array.sub xs 0 (t + 1) in
+    let inv_denom = inv_denoms base in
     {
       n;
       deg = t;
       xs;
       vand;
-      ext;
+      ext = basis_rows_with inv_denom base (Array.sub xs (t + 1) (n - t - 1));
+      ivand = coeff_rows inv_denom base;
       weights0 = Hashtbl.create 7;
       exts = Hashtbl.create 7;
       sc_ids = Array.make n 0;
@@ -152,6 +187,19 @@ module Make (F : Field_intf.S) = struct
       incr r
     done;
     !ok
+
+  let interpolate_checked plan values =
+    if not (fits plan values) then None
+    else
+      let b = plan.deg + 1 in
+      Some
+        (Array.init b (fun d ->
+             let row = plan.ivand.(d) in
+             let acc = ref F.zero in
+             for j = 0 to b - 1 do
+               acc := F.add !acc (F.mul row.(j) values.(j))
+             done;
+             !acc))
 
   (* ---- subsets -------------------------------------------------- *)
 

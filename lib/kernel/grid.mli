@@ -18,6 +18,10 @@
       ("do all [n] broadcast values lie on one degree-[<= t]
       polynomial?") into [(n - t - 1)(t + 1)] multiplications with no
       polynomial allocation;
+    - the coefficients of that same basis (the inverse Vandermonde
+      matrix of the first [t + 1] points), so a vector that passes the
+      check yields its polynomial in [(t + 1)^2] more multiplications —
+      the Fig. 4 step 5 decode when no gamma is missing or wrong;
     - per-subset caches of Lagrange-at-zero weights and extension rows,
       keyed by the participating-index bitset, for Coin-Expose
       reconstruction under missing or faulty shares (the subset of
@@ -39,7 +43,7 @@ module Make (F : Field_intf.S) : sig
       caches. *)
 
   val make : n:int -> t:int -> t
-  (** Precompute the plan; [O(n t)] field operations and [t + 1]
+  (** Precompute the plan; [O(n t + t^3)] field operations and [t + 1]
       inversions, paid once per session. Requires [0 <= t < n] and [n]
       distinct non-zero grid points to exist in [F]. *)
 
@@ -64,6 +68,15 @@ module Make (F : Field_intf.S) : sig
       lie on a single polynomial of degree [<= t]? Equivalent to
       {!Poly.Make.fits_degree} on the full grid; ticks one
       interpolation. *)
+
+  val interpolate_checked : t -> F.t array -> F.t array option
+  (** [interpolate_checked plan values]: when the [n] grid values lie on
+      one polynomial [f] of degree [<= t] ({!fits}), [Some] of [f]'s
+      [t + 1] coefficients in increasing degree (not normalized: a
+      lower-degree [f] has trailing zeros), read off the first [t + 1]
+      values through the plan's inverse Vandermonde table; [None]
+      otherwise. [(n - t - 1)(t + 1) + (t + 1)^2] multiplications at
+      most, no inversion, one interpolation tick. *)
 
   val fits_on : t -> (int * F.t) list -> bool
   (** Subset variant: the points [(player, value)] (distinct players)

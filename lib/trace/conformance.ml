@@ -136,7 +136,8 @@ let bit_gen_checks ~n ~t ~m =
       ("gradecasts", "0", Exact 0, gcs);
       ("field_mults", "<= n(M + 4n^3)", At_most op_ceiling, mults);
       ("field_adds", "<= n(M + 4n^3)", At_most op_ceiling, adds);
-      ("field_invs", "<= 2n^2", At_most (2 * n * n), invs);
+      (* Every gamma vector fits: no Berlekamp-Welch pivot runs. *)
+      ("field_invs", "0", Exact 0, invs);
     ]
 
 (* ---- Theorem 2: Coin-Gen (Fig. 5) ------------------------------- *)
@@ -169,7 +170,7 @@ let coin_gen_checks ~n ~t ~m =
       ("ba_runs", "1", Exact 1, bas);
       ("field_mults", "<= n^2 M + 6n^5", At_most op_ceiling, mults);
       ("field_adds", "<= n^2 M + 6n^5", At_most op_ceiling, adds);
-      ("field_invs", "<= 2n^3", At_most (2 * n * n * n), invs);
+      ("field_invs", "0", Exact 0, invs);
       (* The amortization claim: total messages are independent of M, so
          per-coin communication is n + O(n^3/M). *)
       ( "messages (amortized)",

@@ -25,12 +25,14 @@
       the degree check [(n-t-1)(t+1)].
     - {b Lemma 6} (Bit-Gen, Fig. 4): 2 rounds, [n^2 - 1] messages
       ([n-1] dealing + [n(n-1)] gammas), [n] interpolations (one
-      Berlekamp-Welch decode per player); mults [<= n(M + 4n^3)].
+      decode per player); mults [<= n(M + 4n^3)]; [0] inversions, since
+      an honest gamma vector passes the grid check and never reaches
+      Berlekamp-Welch.
     - {b Theorem 2} (Coin-Gen, Fig. 5, honest run, shared check coin):
       [5 + 2(t+1)] rounds (deal, gamma, 3 grade-cast rounds, one
       [2(t+1)]-round phase-king BA), [5n(n-1) + (t+1)(n^2-1)] messages,
-      [n^2] interpolations (each player decodes each dealer), [n]
-      grade-casts, [1] BA run; amortized over the batch the message
+      [n^2] interpolations (each player decodes each dealer), [0]
+      inversions, [n] grade-casts, [1] BA run; amortized over the batch the message
       count is [<= nM + 6n^3], i.e. [n + O(n^3/M)] per coin.
 
     Coin-Gen requires [n >= 6t+1]; {!suite} runs it at the largest

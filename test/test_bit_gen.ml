@@ -143,6 +143,99 @@ let test_cost_scales_with_m () =
     (c64.Metrics.bytes < 64 * c1.Metrics.bytes);
   Alcotest.(check int) "rounds" 2 c1.Metrics.rounds
 
+(* ---- decode_check: grid fast path vs Berlekamp-Welch alone ------- *)
+
+module Decode_diff (K : Field_intf.S) (Tag : sig val tag : string end) =
+struct
+  module BGk = Bit_gen.Make (K)
+  module Ref = Bit_gen_reference.Make (K)
+
+  let eval coeffs x =
+    Array.fold_right (fun c acc -> K.add c (K.mul acc x)) coeffs K.zero
+
+  (* Gammas of a random polynomial of degree -1..t (so some normalize
+     shorter than t + 1) at every grid point, with [missing] of them
+     dropped and [corrupt] of the rest shifted off the polynomial. *)
+  let gammas_of ~n ~t ~missing ~corrupt seed =
+    let g = Prng.of_int seed in
+    let deg = Prng.int g (t + 2) - 1 in
+    let coeffs = Array.init (deg + 1) (fun _ -> K.random g) in
+    let gammas = Array.init n (fun k -> Some (eval coeffs (K.of_int (k + 1)))) in
+    List.iter (fun k -> gammas.(k) <- None) (Prng.sample_distinct g missing n);
+    let present = List.filter (fun k -> gammas.(k) <> None) (List.init n Fun.id) in
+    let present = Array.of_list present in
+    List.iter
+      (fun idx ->
+        let k = present.(idx) in
+        gammas.(k) <-
+          Option.map (fun v -> K.add v (K.random_nonzero g)) gammas.(k))
+      (Prng.sample_distinct g (min corrupt (Array.length present))
+         (Array.length present));
+    gammas
+
+  let same_result (p1, s1) (p2, s2) =
+    let same_poly =
+      match (p1, p2) with
+      | None, None -> true
+      | Some f, Some h ->
+          let a = BGk.P.coeffs f and b = Ref.P.coeffs h in
+          Array.length a = Array.length b && Array.for_all2 K.equal a b
+      | Some _, None | None, Some _ -> false
+    in
+    same_poly && s1 = s2
+
+  (* (t, extra players beyond 3t+1, missing, corrupted, seed); corrupted
+     runs one past the error budget so rejections are compared too. *)
+  let arb_case =
+    QCheck.make
+      ~print:(fun (t, extra, missing, corrupt, seed) ->
+        Printf.sprintf "t=%d n=%d missing=%d corrupt=%d seed=%d" t
+          ((3 * t) + 1 + extra) missing corrupt seed)
+      QCheck.Gen.(
+        int_range 0 3 >>= fun t ->
+        int_range 0 6 >>= fun extra ->
+        int_range 0 t >>= fun missing ->
+        let n = (3 * t) + 1 + extra in
+        let e = (n - missing - t - 1) / 2 in
+        int_range 0 (e + 1) >>= fun corrupt ->
+        int >>= fun seed -> return (t, extra, missing, corrupt, seed))
+
+  let prop_matches_reference =
+    QCheck.Test.make ~count:300
+      ~name:(Tag.tag ^ ": decode_check = Berlekamp-Welch alone")
+      arb_case
+      (fun (t, extra, missing, corrupt, seed) ->
+        let n = (3 * t) + 1 + extra in
+        let gammas = gammas_of ~n ~t ~missing ~corrupt seed in
+        same_result
+          (BGk.decode_check ~n ~t gammas)
+          (Ref.decode_check ~n ~t gammas))
+
+  let test_fitting_vector_one_tick () =
+    let n = 13 and t = 2 in
+    for seed = 1 to 20 do
+      let gammas = gammas_of ~n ~t ~missing:0 ~corrupt:0 seed in
+      let result, snap =
+        Metrics.with_counting (fun () -> BGk.decode_check ~n ~t gammas)
+      in
+      Alcotest.(check int) "one interpolation" 1 snap.Metrics.interpolations;
+      Alcotest.(check int) "no inversion" 0 snap.Metrics.field_invs;
+      Alcotest.(check bool) "full support" true (Array.for_all Fun.id (snd result));
+      Alcotest.(check bool) "same as reference" true
+        (same_result result (Ref.decode_check ~n ~t gammas))
+    done
+
+  let suite =
+    [
+      QCheck_alcotest.to_alcotest ~long:false prop_matches_reference;
+      Alcotest.test_case (Tag.tag ^ ": fitting gammas tick one interpolation")
+        `Quick test_fitting_vector_one_tick;
+    ]
+end
+
+module Diff16 = Decode_diff (Gf2k.GF16) (struct let tag = "GF(2^16)" end)
+module Diff32 = Decode_diff (Gf2k.GF32) (struct let tag = "GF(2^32)" end)
+
 let suite =
   [
     Alcotest.test_case "honest run accepts" `Quick test_honest_run_accepts_everywhere;
@@ -157,3 +250,4 @@ let suite =
       test_check_poly_matches_dealt_combination;
     Alcotest.test_case "cost scales with M" `Quick test_cost_scales_with_m;
   ]
+  @ Diff16.suite @ Diff32.suite

@@ -114,10 +114,38 @@ let prop_run_all_soundness =
           && ((not has_conf2) || List.length conf1_values = List.length slot))
         (List.init n Fun.id))
 
+(* The quadratic tally [best_supported] replaced — every element
+   counted against the whole list — kept as its reference. *)
+let best_supported_reference ~equal received =
+  let rec count v = function
+    | [] -> 0
+    | w :: rest -> (if equal v w then 1 else 0) + count v rest
+  in
+  let rec scan best best_count = function
+    | [] -> (best, best_count)
+    | v :: rest ->
+        let c = count v received in
+        if c > best_count then scan (Some v) c rest else scan best best_count rest
+  in
+  scan None 0 received
+
+(* Keys from a tiny alphabet make duplicates and tied maxima common;
+   each element also carries its position, which [equal] ignores, so
+   the result shows which of the equal elements a tie resolved to. *)
+let prop_best_supported_matches_reference =
+  QCheck.Test.make ~count:1000 ~name:"best_supported = quadratic tally (ties too)"
+    QCheck.(list_of_size Gen.(int_range 0 40) (int_range 0 4))
+    (fun keys ->
+      let items = List.mapi (fun pos key -> (key, pos)) keys in
+      let equal (a, _) (b, _) = a = b in
+      Gradecast.best_supported ~equal items
+      = best_supported_reference ~equal items)
+
 let suite =
   [
     Alcotest.test_case "all honest" `Quick test_all_honest;
     Alcotest.test_case "rounds shared" `Quick test_rounds_shared;
     Alcotest.test_case "mixed dealers" `Quick test_mixed_dealers;
   ]
-  @ List.map (QCheck_alcotest.to_alcotest ~long:false) [ prop_run_all_soundness ]
+  @ List.map (QCheck_alcotest.to_alcotest ~long:false)
+      [ prop_run_all_soundness; prop_best_supported_matches_reference ]

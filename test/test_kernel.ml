@@ -126,6 +126,28 @@ module Check (F : Field_intf.S) (Tag : sig val tag : string end) = struct
           let plan = S.grid ~n ~t in
           G.reconstruct_zero_checked plan corrupted = None
           && G.reconstruct_zero_checked plan duplicated = None);
+      qtest "interpolate_checked = the dealt polynomial, None off it"
+        (QCheck.pair arb_session QCheck.bool)
+        (fun ((seed, n, t), corrupt) ->
+          (* Degree t - 1 half the time: the read-off must come back
+             with a zero top coefficient, not a different polynomial. *)
+          let g = Prng.of_int seed in
+          let d = if t > 0 && Prng.bool g then t - 1 else t in
+          let f = P.random g ~degree:d in
+          let values = shares_of_poly n f in
+          let off = corrupt && t + 1 < n in
+          if off then begin
+            let i = Prng.int g n in
+            values.(i) <- F.add values.(i) F.one
+          end;
+          match G.interpolate_checked (S.grid ~n ~t) values with
+          | None -> off
+          | Some coeffs ->
+              let got = P.coeffs (P.of_coeffs coeffs) and want = P.coeffs f in
+              (not off)
+              && Array.length coeffs = t + 1
+              && Array.length got = Array.length want
+              && Array.for_all2 F.equal got want);
     ]
 
   (* Degenerate shapes the generators reach only rarely. *)
@@ -232,6 +254,60 @@ let test_tabled_mul_ticks () =
   let _, ti = Metrics.with_counting (fun () -> M.inv a) in
   Alcotest.(check int) "tabled inv ticks one inv" 1 ti.Metrics.field_invs
 
+(* Above the table threshold [mul] is the branch-free word loop: it
+   must agree with the shift-and-xor reference at every width it meets
+   (either side of the 32-bit boundary, and the 61-bit maximum), on
+   random pairs and on the extreme operands 0, 1, 2^(k-1) and 2^k - 1;
+   [inv] must agree with Fermat's a^(2^k - 2). *)
+let test_word_mul_matches_naive () =
+  List.iter
+    (fun k ->
+      let module M = Gf2k.Make (struct let k = k end) in
+      Alcotest.(check bool) (Printf.sprintf "k=%d is untabled" k) false M.tabled;
+      let g = Prng.of_int (7000 + k) in
+      let extremes =
+        List.map M.of_repr [ 0; 1; 1 lsl (k - 1); (1 lsl k) - 1 ]
+      in
+      let operands = extremes @ List.init 60 (fun _ -> M.random g) in
+      let agree a b =
+        if not (M.equal (M.mul a b) (M.mul_naive a b)) then
+          Alcotest.failf "k=%d: mul %s %s diverges from naive" k
+            (M.to_string a) (M.to_string b)
+      in
+      List.iter (fun a -> List.iter (agree a) operands) operands;
+      for _ = 1 to 20_000 do
+        agree (M.random g) (M.random g)
+      done;
+      List.iter
+        (fun a ->
+          if not (M.equal a M.zero) then
+            if not (M.equal (M.inv a) (M.pow a ((1 lsl k) - 2))) then
+              Alcotest.failf "k=%d: inv %s <> a^(2^k-2)" k (M.to_string a))
+        operands)
+    [ 17; 31; 32; 33; 61 ]
+
+(* [Gf2k.degree] is a binary search; a scan down from bit 62 is its
+   reference, over random words of every length and both signs. *)
+let test_degree_matches_scan () =
+  let scan x =
+    let rec go i =
+      if i < 0 then -1 else if x land (1 lsl i) <> 0 then i else go (i - 1)
+    in
+    go 62
+  in
+  let g = Prng.of_int 6262 in
+  let words =
+    [ 0; 1; 2; 3; max_int; min_int; -1 ]
+    @ List.init 63 (fun i -> 1 lsl i)
+    @ List.init 2000 (fun _ -> Prng.bits g (1 + Prng.int g 62))
+    @ List.init 200 (fun _ -> Int64.to_int (Prng.next_int64 g))
+  in
+  List.iter
+    (fun x ->
+      Alcotest.(check int) (Printf.sprintf "degree 0x%x" x) (scan x)
+        (Gf2k.degree x))
+    words
+
 let suite =
   Check_gf2k.suite @ Check_wide.suite @ Check_zq.suite @ Check_fft.suite
   @ [
@@ -241,4 +317,8 @@ let suite =
         test_tabled_mul_sampled_16;
       Alcotest.test_case "tabled ops tick like naive ops" `Quick
         test_tabled_mul_ticks;
+      Alcotest.test_case "word mul = naive mul, inv = a^(2^k-2) (k>16)" `Quick
+        test_word_mul_matches_naive;
+      Alcotest.test_case "degree = scan from bit 62" `Quick
+        test_degree_matches_scan;
     ]
