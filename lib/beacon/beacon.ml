@@ -430,30 +430,22 @@ module Make (F : Field_intf.S) = struct
     let pool_bytes = P.save b.pool in
     Wire.Writer.u32 w (Bytes.length pool_bytes);
     Wire.Writer.raw w pool_bytes;
-    let payload = Wire.Writer.contents w in
-    let header = Wire.Writer.create () in
-    Wire.Writer.u16 header magic;
-    Wire.Writer.u8 header snapshot_version;
-    Wire.Writer.u32 header (Bytes.length payload);
-    Wire.Writer.u32 header (Wire.Crc32.digest payload);
-    Wire.Writer.raw header payload;
-    Wire.Writer.contents header
+    Wire.Record.seal ~magic ~version:snapshot_version
+      (Wire.Writer.contents w)
 
   let corrupt msg = raise (Corrupt_snapshot ("Beacon.load: " ^ msg))
 
   let load ?(key = default_key) ?max_pending ?prefetch ?expect_head ?adversary
       ?expose_behavior ?sentinel ~prng ~batch_size ~refill_threshold bytes =
-    if Bytes.length bytes < 11 then corrupt "truncated header";
-    let r = Wire.Reader.of_bytes bytes in
-    if Wire.Reader.u16 r <> magic then corrupt "bad magic";
-    let version = Wire.Reader.u8 r in
-    if version < oldest_readable_version || version > snapshot_version then
-      corrupt (Printf.sprintf "unsupported version %d" version);
-    let len = Wire.Reader.u32 r in
-    if Bytes.length bytes <> 11 + len then corrupt "payload length mismatch";
-    let crc = Wire.Reader.u32 r in
-    let payload = Wire.Reader.raw r len in
-    if Wire.Crc32.digest payload <> crc then corrupt "checksum mismatch";
+    let version, payload =
+      match
+        Wire.Record.unseal ~magic
+          ~versions:(oldest_readable_version, snapshot_version)
+          bytes
+      with
+      | Ok sealed -> sealed
+      | Error msg -> corrupt msg
+    in
     let next_seq, head, counters, next_request_id, pool_bytes =
       match
         let r = Wire.Reader.of_bytes payload in

@@ -76,14 +76,6 @@ end
 
 let magic = 0xBEA2
 let version = 1
-let header_len = 3
-let frame_len = 8 (* u32 length + u32 crc *)
-
-let header_bytes () =
-  let w = Wire.Writer.create () in
-  Wire.Writer.u16 w magic;
-  Wire.Writer.u8 w version;
-  Wire.Writer.contents w
 
 (* ---------------------------- writing ----------------------------- *)
 
@@ -118,7 +110,7 @@ let open_writer ~sync_policy ~next_record_seq ~trunc path =
 
 let create ?(sync = Fsync) path =
   let w = open_writer ~sync_policy:sync ~next_record_seq:0 ~trunc:true path in
-  (try Crash_point.guarded_write w.fd (header_bytes ())
+  (try Crash_point.guarded_write w.fd (Wire.Record.header ~magic ~version)
    with e ->
      close w;
      raise e);
@@ -130,15 +122,11 @@ let append w body =
   let payload = Wire.Writer.create () in
   Wire.Writer.u32 payload w.next_record_seq;
   Wire.Writer.raw payload body;
-  let payload = Wire.Writer.contents payload in
-  let frame = Wire.Writer.create () in
-  Wire.Writer.u32 frame (Bytes.length payload);
-  Wire.Writer.u32 frame (Wire.Crc32.digest payload);
-  Wire.Writer.raw frame payload;
   (* One write for the whole record: a crash splits it at a byte
      offset, never interleaves. The record seq is claimed only after
      the bytes are down, so a crashed append leaves it unconsumed. *)
-  Crash_point.guarded_write w.fd (Wire.Writer.contents frame);
+  Crash_point.guarded_write w.fd
+    (Wire.Record.frame (Wire.Writer.contents payload));
   w.next_record_seq <- w.next_record_seq + 1;
   maybe_fsync w
 
@@ -161,82 +149,85 @@ let read_file path =
       really_input ic b 0 len;
       b)
 
-let u32_at data pos =
-  Bytes.get_uint16_le data pos lor (Bytes.get_uint16_le data (pos + 2) lsl 16)
+(* The record seq that opens an intact payload, if it has one. *)
+let record_seq payload =
+  if Bytes.length payload < 4 then None
+  else Some (Wire.Reader.u32 (Wire.Reader.of_bytes payload))
 
 let recover jpath =
-  if not (Sys.file_exists jpath) then
-    { records = []; next_record_seq = 0; valid_len = 0; torn_bytes = 0 }
+  let data = if Sys.file_exists jpath then read_file jpath else Bytes.empty in
+  let size = Bytes.length data in
+  let result pos seq records =
+    {
+      records = List.rev records;
+      next_record_seq = seq;
+      valid_len = pos;
+      torn_bytes = size - pos;
+    }
+  in
+  if size < Wire.Record.header_len then
+    (* A missing file is an empty journal. A shorter one means the crash
+       landed inside the initial header write: nothing was ever durable,
+       so the whole file is the torn tail. *)
+    result 0 0 []
   else begin
-    let data = read_file jpath in
-    let size = Bytes.length data in
-    if size < header_len then
-      (* The crash landed inside the initial header write: nothing was
-         ever durable, so the whole file is the torn tail. *)
-      { records = []; next_record_seq = 0; valid_len = 0; torn_bytes = size }
-    else begin
-      if Bytes.get_uint16_le data 0 <> magic then
-        corrupt "not a beacon journal (bad magic) [bytes=%d]" size;
-      let v = Bytes.get_uint8 data 2 in
-      if v <> version then corrupt "unsupported journal version %d" v;
-      let records = ref [] in
-      let seq = ref 0 in
-      let pos = ref header_len in
-      let torn = ref 0 in
-      (* A frame that runs past end-of-file, or a checksum failure on
-         the record that ends exactly at end-of-file, is a torn write:
-         only the final append can be cut short by a crash. The same
-         failures with bytes after them cannot be torn and are fatal. *)
-      (try
-         while !pos < size do
-           if size - !pos < frame_len then begin
-             torn := size - !pos;
-             raise Exit
-           end;
-           let len = u32_at data !pos in
-           if size - !pos - frame_len < len then begin
-             torn := size - !pos;
-             raise Exit
-           end;
-           let crc = u32_at data (!pos + 4) in
-           let payload = Bytes.sub data (!pos + frame_len) len in
-           if Wire.Crc32.digest payload <> crc then
-             if !pos + frame_len + len = size then begin
-               torn := size - !pos;
-               raise Exit
-             end
-             else
-               corrupt
-                 "record %d at offset %d: checksum mismatch with %d bytes \
-                  following — mid-journal corruption, not a torn tail"
-                 !seq !pos
-                 (size - !pos - frame_len - len);
-           if len < 4 then
-             corrupt "record %d at offset %d: intact but only %d bytes long"
-               !seq !pos len;
-           let rseq = u32_at payload 0 in
-           if rseq <> !seq then
-             corrupt
-               "record sequence gap at offset %d: expected record %d, found \
-                %d"
-               !pos !seq rseq;
-           records := Bytes.sub payload 4 (len - 4) :: !records;
-           incr seq;
-           pos := !pos + frame_len + len
-         done
-       with Exit -> ());
-      {
-        records = List.rev !records;
-        next_record_seq = !seq;
-        valid_len = !pos;
-        torn_bytes = !torn;
-      }
-    end
+    (match
+       Wire.Record.check_header ~magic ~versions:(version, version) data
+     with
+    | Ok _ -> ()
+    | Error msg -> corrupt "not a beacon journal (%s) [bytes=%d]" msg size);
+    (* A frame that runs past end-of-file, or a checksum failure on the
+       record that ends exactly at end-of-file, looks like a torn write:
+       only the final append can be cut short by a crash. But a flipped
+       length field makes an interior record overrun end-of-file just
+       the same, so the tail is torn only if no intact record carrying
+       the next seq follows it. *)
+    let torn pos seq records =
+      let rec successor o =
+        if o >= size then result pos seq records
+        else
+          match Wire.Record.read_frame data o with
+          | Intact { payload; _ } when record_seq payload = Some (seq + 1) ->
+              corrupt
+                "record %d at offset %d does not close, but record %d is \
+                 intact at offset %d — mid-journal corruption, not a torn \
+                 tail"
+                seq pos (seq + 1) o
+          | _ -> successor (o + 1)
+      in
+      successor (pos + 1)
+    in
+    let rec scan pos seq records =
+      if pos = size then result pos seq records
+      else
+        match Wire.Record.read_frame data pos with
+        | Past_end -> torn pos seq records
+        | Checksum_failed { stop } when stop = size -> torn pos seq records
+        | Checksum_failed { stop } ->
+            corrupt
+              "record %d at offset %d: checksum mismatch with %d bytes \
+               following — mid-journal corruption, not a torn tail"
+              seq pos (size - stop)
+        | Intact { payload; stop } -> (
+            match record_seq payload with
+            | None ->
+                corrupt "record %d at offset %d: intact but only %d bytes long"
+                  seq pos (Bytes.length payload)
+            | Some rseq when rseq <> seq ->
+                corrupt
+                  "record sequence gap at offset %d: expected record %d, \
+                   found %d"
+                  pos seq rseq
+            | Some _ ->
+                let body = Bytes.sub payload 4 (Bytes.length payload - 4) in
+                scan stop (seq + 1) (body :: records))
+    in
+    scan Wire.Record.header_len 0 []
   end
 
 let open_append ?(sync = Fsync) jpath =
   let r = recover jpath in
-  if r.valid_len < header_len then
+  if r.valid_len < Wire.Record.header_len then
     (* New file, or the header itself was torn: start clean. *)
     (r, create ~sync jpath)
   else begin
@@ -265,5 +256,6 @@ let write_file_atomic ?(fsync = true) fpath bytes =
   Sys.rename tmp fpath
 
 let reset ?(sync = Fsync) jpath =
-  write_file_atomic ~fsync:(sync = Fsync) jpath (header_bytes ());
+  write_file_atomic ~fsync:(sync = Fsync) jpath
+    (Wire.Record.header ~magic ~version);
   open_writer ~sync_policy:sync ~next_record_seq:0 ~trunc:false jpath

@@ -1,14 +1,18 @@
 (** Write-ahead epoch journal for the beacon's durability layer.
 
-    A journal is a byte file: a 3-byte header (magic, version), then a
-    run of records, each framed as a u32 payload length, a u32 CRC-32
-    of the payload, and the payload itself — whose first four bytes are
-    a record sequence number that must run contiguously from the value
-    the file was created with. The framing is what makes recovery
-    decidable: a crash mid-append leaves a {e torn tail} (a final
-    record whose frame or checksum does not close), which {!recover}
-    detects and drops; damage anywhere {e before} the tail cannot be a
-    torn write and stays fatal with a precise diagnostic.
+    A journal is a byte file in the {!Wire.Record} container format: a
+    3-byte header (magic [0xBEA2], version 1), then a run of frames
+    (u32 payload length, u32 CRC-32, payload), one per record. The
+    codec owns those bytes; this module owns the policy on top. Each
+    payload starts with a u32 record sequence number that must run
+    contiguously from the value the file was created with. A crash
+    mid-append leaves a {e torn tail} (a final frame that runs past
+    end-of-file or fails its checksum exactly at end-of-file), which
+    {!recover} drops. Damage anywhere {e before} the tail cannot be a
+    torn write and stays fatal with a precise diagnostic — including a
+    flipped length field that makes an interior record overrun
+    end-of-file, which the intact record after it gives away. Damage
+    confined to the final record cannot be told from a crash.
 
     Durability discipline is explicit in the API. Every {!append}
     pushes the framed record through [write(2)] before returning —
@@ -24,8 +28,10 @@
 
 exception Corrupt_journal of string
 (** Mid-journal damage: a checksum or framing failure {e before} the
-    final record, a record-sequence gap, or a header that belongs to
-    some other file format. Never raised for a torn tail. *)
+    final record, a frame that does not close although an intact record
+    with the next sequence number follows it, a record-sequence gap, or
+    a header that belongs to some other file format. Never raised for a
+    torn tail. *)
 
 type sync_policy =
   | Fsync  (** [fsync] after every append and metadata rotation *)
@@ -87,8 +93,11 @@ val recover : string -> recovery
 (** Parse the journal at the path (a missing file is an empty
     journal). A final record that does not close — frame running past
     end-of-file, or a checksum mismatch on the very last record — is
-    the torn tail: dropped, reported in [torn_bytes]. The file itself
-    is not modified; {!open_append} is the mutating entry point.
+    the torn tail: dropped, reported in [torn_bytes]. Before that
+    verdict the bytes after the failed frame are searched for an intact
+    record carrying the next sequence number; finding one means the
+    failed frame was not the last append. The file itself is not
+    modified; {!open_append} is the mutating entry point.
     @raise Corrupt_journal on damage anywhere before the tail. *)
 
 val open_append : ?sync:sync_policy -> string -> recovery * writer

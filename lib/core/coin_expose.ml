@@ -52,6 +52,32 @@ module Make (F : Field_intf.S) = struct
         if C.trusted_row coin i j && not excl.(j) then Some (j, v) else None)
       inbox_i
 
+  (* Accusations computed from the tallies of one exposure round; shared
+     by [run_reference] and [run], hoisted out of the per-player loop.
+     Pure integer bookkeeping — an accusation is only scored at t + 1
+     concurring players (see DESIGN.md section 14). *)
+  let accusations net inbox ~n ~t ~bad_votes =
+    let acc = ref [] in
+    if Transport.complete_last_round net then begin
+      (* Nobody can be absent; only decode evidence remains. *)
+      for j = n - 1 downto 0 do
+        if bad_votes.(j) >= t + 1 then acc := (j, Sentinel.Bad_share) :: !acc
+      done
+    end
+    else begin
+      let unique_senders =
+        match Transport.current_plan () with
+        | None -> true
+        | Some p -> Transport.Plan.retransmits p >= 1
+      in
+      let miss_votes = Transport.absent_counts ~unique_senders ~n inbox in
+      for j = n - 1 downto 0 do
+        if miss_votes.(j) >= t + 1 then acc := (j, Sentinel.Silent) :: !acc;
+        if bad_votes.(j) >= t + 1 then acc := (j, Sentinel.Bad_share) :: !acc
+      done
+    end;
+    !acc
+
   (* The reference exposure path: list-based point gathering, list-based
      checked reconstruction, attribution tallies kept unconditionally.
      Bit-identical to [run] — same decoded values, same steady-state
@@ -67,10 +93,7 @@ module Make (F : Field_intf.S) = struct
     let plan = S.grid ~n ~t in
     let excl = Sentinel.exclusion_mask ~n in
     let net, inbox = send_round ?sender_behavior coin in
-    (* Attribution tallies: how many players decoded sender j's share as
-       an error, and how many got nothing from j at all. Pure integer
-       bookkeeping; an accusation is only scored at t + 1 concurring
-       players (see DESIGN.md section 14). *)
+    (* How many players decoded sender j's share as an error. *)
     let bad_votes = Array.make n 0 in
     let results =
       Array.init n (fun i ->
@@ -126,57 +149,8 @@ module Make (F : Field_intf.S) = struct
               Trace.Reconstruct { player = i; ok = Option.is_some value });
           value)
     in
-    Sentinel.observe (fun () ->
-        let acc = ref [] in
-        if Transport.complete_last_round net then begin
-          (* Nobody can be absent; only decode evidence remains. *)
-          for j = n - 1 downto 0 do
-            if bad_votes.(j) >= t + 1 then
-              acc := (j, Sentinel.Bad_share) :: !acc
-          done
-        end
-        else begin
-          let unique_senders =
-            match Transport.current_plan () with
-            | None -> true
-            | Some p -> Transport.Plan.retransmits p >= 1
-          in
-          let miss_votes = Transport.absent_counts ~unique_senders ~n inbox in
-          for j = n - 1 downto 0 do
-            if miss_votes.(j) >= t + 1 then
-              acc := (j, Sentinel.Silent) :: !acc;
-            if bad_votes.(j) >= t + 1 then
-              acc := (j, Sentinel.Bad_share) :: !acc
-          done
-        end;
-        !acc);
+    Sentinel.observe (fun () -> accusations net inbox ~n ~t ~bad_votes);
     results
-
-  (* Accusations computed from the tallies of one exposure round; shared
-     by [run] and hoisted out of its hot loop. Pure integer bookkeeping —
-     an accusation is only scored at t + 1 concurring players (see
-     DESIGN.md section 14). *)
-  let accusations net inbox ~n ~t ~bad_votes =
-    let acc = ref [] in
-    if Transport.complete_last_round net then begin
-      (* Nobody can be absent; only decode evidence remains. *)
-      for j = n - 1 downto 0 do
-        if bad_votes.(j) >= t + 1 then acc := (j, Sentinel.Bad_share) :: !acc
-      done
-    end
-    else begin
-      let unique_senders =
-        match Transport.current_plan () with
-        | None -> true
-        | Some p -> Transport.Plan.retransmits p >= 1
-      in
-      let miss_votes = Transport.absent_counts ~unique_senders ~n inbox in
-      for j = n - 1 downto 0 do
-        if miss_votes.(j) >= t + 1 then acc := (j, Sentinel.Silent) :: !acc;
-        if bad_votes.(j) >= t + 1 then acc := (j, Sentinel.Bad_share) :: !acc
-      done
-    end;
-    !acc
 
   (* The steady-state exposure path. Identical values, ticks, traces and
      draws as [run_reference]; the differences are purely allocation and

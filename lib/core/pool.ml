@@ -400,13 +400,12 @@ module Make (F : Field_intf.S) = struct
   let snapshot_version = 3
   let oldest_readable_version = 2
 
-  (* Snapshot layout: a header of magic (u16), version (u8), payload
-     length (u32) and CRC-32 of the payload (u32), then the payload —
+  (* A snapshot is one [Wire.Record] sealed under [magic]. The payload:
      pool parameters, stats counters, the sealed coins, and (since v3) a
      sentinel-ledger section: a presence flag (u8), then per player the
      evidence counts in [Sentinel.all_kinds] order (u32 each). v2
      snapshots — the same payload without the ledger section — are still
-     read; they restore with a fresh ledger. The header lets [load]
+     read; they restore with a fresh ledger. The record lets [load]
      reject truncated, corrupted or alien bytes with a clean
      [Corrupt_snapshot] before any payload decoding runs. *)
   let save p =
@@ -429,44 +428,28 @@ module Make (F : Field_intf.S) = struct
         Array.iter
           (fun row -> Array.iter (fun c -> Wire.Writer.u32 w c) row)
           (Sentinel.Ledger.dump ledger));
-    let payload = Wire.Writer.contents w in
-    let header = Wire.Writer.create () in
-    Wire.Writer.u16 header magic;
-    Wire.Writer.u8 header snapshot_version;
-    Wire.Writer.u32 header (Bytes.length payload);
-    Wire.Writer.u32 header (Wire.Crc32.digest payload);
-    Wire.Writer.raw header payload;
-    Wire.Writer.contents header
+    Wire.Record.seal ~magic ~version:snapshot_version
+      (Wire.Writer.contents w)
 
   let corrupt msg = raise (Corrupt_snapshot ("Pool.load: " ^ msg))
-
-  (* Header-stage failures know nothing but the byte count; that much
-     still lands in the message for the post-mortem. *)
-  let corrupt_header bytes msg =
-    corrupt (Printf.sprintf "%s [bytes=%d]" msg (Bytes.length bytes))
-
-  let checked_payload bytes =
-    if Bytes.length bytes < 11 then corrupt_header bytes "truncated header";
-    let r = Wire.Reader.of_bytes bytes in
-    if Wire.Reader.u16 r <> magic then corrupt_header bytes "bad magic";
-    let version = Wire.Reader.u8 r in
-    if version < oldest_readable_version || version > snapshot_version then
-      corrupt_header bytes (Printf.sprintf "unsupported version %d" version);
-    let len = Wire.Reader.u32 r in
-    if Bytes.length bytes <> 11 + len then
-      corrupt_header bytes "payload length mismatch";
-    let crc = Wire.Reader.u32 r in
-    let payload = Wire.Reader.raw r len in
-    if Wire.Crc32.digest payload <> crc then
-      corrupt_header bytes "checksum mismatch";
-    (version, payload)
 
   let load ?(adversary = fun _ -> CG.honest_adversary)
       ?(expose_behavior = fun _ _ -> CE.Honest) ?(max_ba_iterations = 64)
       ?(ba_flavor = `Phase_king) ?(max_refill_attempts = 5)
       ?(sentinel = Some Sentinel.passive) ~prng ~batch_size ~refill_threshold
       bytes =
-    let version, payload = checked_payload bytes in
+    let version, payload =
+      match
+        Wire.Record.unseal ~magic
+          ~versions:(oldest_readable_version, snapshot_version)
+          bytes
+      with
+      | Ok sealed -> sealed
+      | Error msg ->
+          (* Record-stage failures know nothing but the byte count; that
+             much still lands in the message for the post-mortem. *)
+          corrupt (Printf.sprintf "%s [bytes=%d]" msg (Bytes.length bytes))
+    in
     let n, fault_bound, counters, coins, saved_counts =
       (* The checksum has vouched for the bytes, so any decode failure
          here still means corruption (e.g. of the CRC field itself along

@@ -66,10 +66,10 @@ let pp ppf s =
   let pp_pair ppf (label, v) = Fmt.pf ppf "%s=%d" label v in
   Fmt.pf ppf "@[<h>%a@]" (Fmt.list ~sep:Fmt.sp pp_pair) (to_row s)
 
-(* Mutable sink. A stack of sinks is live at once: every tick updates all
-   of them, so an outer [with_counting] sees costs incurred inside an
-   inner one. *)
-type sink = {
+(* The live counters. Ticks add to them only while [depth > 0]; a
+   measurement is the difference of two reads, so nested measurements
+   need no per-level state. *)
+type counters = {
   mutable adds : int;
   mutable mults : int;
   mutable invs : int;
@@ -81,7 +81,7 @@ type sink = {
   mutable gcs : int;
 }
 
-let fresh_sink () =
+let c =
   {
     adds = 0;
     mults = 0;
@@ -94,94 +94,75 @@ let fresh_sink () =
     gcs = 0;
   }
 
-let sinks : sink list ref = ref []
+(* Open [with_counting] scopes not suspended by [without_counting]. *)
+let depth = ref 0
 
-let counting_enabled () = !sinks <> []
-
-let tick_adds n =
-  match !sinks with
-  | [] -> ()
-  | l -> List.iter (fun s -> s.adds <- s.adds + n) l
-
-let tick_mults n =
-  match !sinks with
-  | [] -> ()
-  | l -> List.iter (fun s -> s.mults <- s.mults + n) l
-
-let tick_invs n =
-  match !sinks with
-  | [] -> ()
-  | l -> List.iter (fun s -> s.invs <- s.invs + n) l
-
-let tick_interpolation () =
-  match !sinks with
-  | [] -> ()
-  | l -> List.iter (fun s -> s.interps <- s.interps + 1) l
+let counting_enabled () = !depth > 0
+let tick_adds n = if !depth > 0 then c.adds <- c.adds + n
+let tick_mults n = if !depth > 0 then c.mults <- c.mults + n
+let tick_invs n = if !depth > 0 then c.invs <- c.invs + n
+let tick_interpolation () = if !depth > 0 then c.interps <- c.interps + 1
 
 let tick_message ~bytes_len =
-  match !sinks with
-  | [] -> ()
-  | l ->
-      List.iter
-        (fun s ->
-          s.msgs <- s.msgs + 1;
-          s.byts <- s.byts + bytes_len)
-        l
+  if !depth > 0 then begin
+    c.msgs <- c.msgs + 1;
+    c.byts <- c.byts + bytes_len
+  end
 
-let tick_round () =
-  match !sinks with
-  | [] -> ()
-  | l -> List.iter (fun s -> s.rnds <- s.rnds + 1) l
+let tick_round () = if !depth > 0 then c.rnds <- c.rnds + 1
+let tick_ba () = if !depth > 0 then c.bas <- c.bas + 1
+let tick_gradecast () = if !depth > 0 then c.gcs <- c.gcs + 1
 
-let tick_ba () =
-  match !sinks with
-  | [] -> ()
-  | l -> List.iter (fun s -> s.bas <- s.bas + 1) l
-
-let tick_gradecast () =
-  match !sinks with
-  | [] -> ()
-  | l -> List.iter (fun s -> s.gcs <- s.gcs + 1) l
-
-let snapshot_of_sink s =
+let read () =
   {
-    field_adds = s.adds;
-    field_mults = s.mults;
-    field_invs = s.invs;
-    interpolations = s.interps;
-    messages = s.msgs;
-    bytes = s.byts;
-    rounds = s.rnds;
-    ba_runs = s.bas;
-    gradecasts = s.gcs;
+    field_adds = c.adds;
+    field_mults = c.mults;
+    field_invs = c.invs;
+    interpolations = c.interps;
+    messages = c.msgs;
+    bytes = c.byts;
+    rounds = c.rnds;
+    ba_runs = c.bas;
+    gradecasts = c.gcs;
   }
 
+let restore s =
+  c.adds <- s.field_adds;
+  c.mults <- s.field_mults;
+  c.invs <- s.field_invs;
+  c.interps <- s.interpolations;
+  c.msgs <- s.messages;
+  c.byts <- s.bytes;
+  c.rnds <- s.rounds;
+  c.bas <- s.ba_runs;
+  c.gcs <- s.gradecasts
+
+(* A measurement opened inside the suspended region still counts into
+   [c]; putting the saved values back keeps those costs from reaching
+   the suspended ones. *)
 let without_counting f =
-  let saved = !sinks in
-  sinks := [];
-  match f () with
-  | result ->
-      sinks := saved;
-      result
-  | exception e ->
-      sinks := saved;
-      raise e
+  if !depth = 0 then f ()
+  else begin
+    let saved = read () and saved_depth = !depth in
+    depth := 0;
+    match f () with
+    | result ->
+        restore saved;
+        depth := saved_depth;
+        result
+    | exception e ->
+        restore saved;
+        depth := saved_depth;
+        raise e
+  end
 
 let with_counting f =
-  let sink = fresh_sink () in
-  sinks := sink :: !sinks;
-  let pop () =
-    match !sinks with
-    | top :: rest when top == sink -> sinks := rest
-    | _ ->
-        (* Stack discipline violated only by misuse of exceptions across
-           measurement boundaries; restore by filtering. *)
-        sinks := List.filter (fun s -> s != sink) !sinks
-  in
+  let before = read () in
+  incr depth;
   match f () with
   | result ->
-      pop ();
-      (result, snapshot_of_sink sink)
+      decr depth;
+      (result, diff (read ()) before)
   | exception e ->
-      pop ();
+      decr depth;
       raise e

@@ -6,11 +6,11 @@
     that the field, polynomial and network layers tick, so any protocol
     run can be bracketed and its exact cost vector extracted.
 
-    Counting is ambient (a single current sink) because the whole
-    simulation is single-threaded; [with_counting] scopes a fresh sink
-    around a thunk and restores the previous one on exit, so nested
-    measurements compose. When no sink is installed the tick functions
-    are a single branch, keeping benchmark overhead negligible. *)
+    Counting is ambient (one set of counters) because the whole
+    simulation is single-threaded; [with_counting] reads the counters
+    before and after a thunk and returns the difference, so nested
+    measurements compose. Outside every measurement a tick is a single
+    branch, keeping benchmark overhead negligible. *)
 
 type snapshot = {
   field_adds : int;      (** additions/subtractions in a field *)
@@ -52,16 +52,18 @@ val tick_gradecast : unit -> unit
 (** {1 Measurement} *)
 
 val with_counting : (unit -> 'a) -> 'a * snapshot
-(** [with_counting f] runs [f] with a fresh sink installed and returns
+(** [with_counting f] runs [f] with counting enabled and returns
     [f ()]'s result together with the costs incurred. If [f] raises, the
-    previous sink is restored and the exception propagates. Outer sinks
-    also accumulate the inner costs, so nesting over-counts nothing. *)
+    exception propagates and counting returns to its state before the
+    call. Enclosing measurements also see the inner costs, so nesting
+    over-counts nothing. *)
 
 val without_counting : (unit -> 'a) -> 'a
-(** [without_counting f] runs [f] with all sinks suspended: nothing [f]
-    does is charged to any active measurement. Used by simulation
+(** [without_counting f] runs [f] with every open measurement
+    suspended: nothing [f] does — not even a measurement [f] opens
+    itself — is charged to them. Used by simulation
     bookkeeping that has no real-protocol counterpart (e.g. conjuring the
     pre-existing shares of a seed coin). *)
 
 val counting_enabled : unit -> bool
-(** True iff a sink is currently installed. *)
+(** True iff a measurement is open and not suspended. *)

@@ -25,7 +25,8 @@
     deployments do not. A {!Plan} describes a degraded network — per-link
     message drop, delay, duplication, reordering, byte-level corruption,
     and whole-player crash/recovery windows — and is installed ambiently
-    with {!with_plan}, mirroring how {!Metrics} sinks are installed.
+    with {!with_plan}, mirroring how {!Metrics.with_counting} scopes a
+    measurement.
     Networks created inside [with_plan] apply the plan's faults; the
     {!exchange} retransmit envelope then absorbs omission faults within a
     bounded budget so protocol drivers survive them without miscounting

@@ -97,9 +97,9 @@ let span kind name f =
       in
       b.next_id <- b.next_id + 1;
       b.stack <- frame :: b.stack;
-      (* The span's cost delta rides on the Metrics sink stack: outer
-         sinks keep accumulating, so bracketing is invisible to any
-         enclosing measurement. *)
+      (* The span's cost delta is a difference of two Metrics reads:
+         enclosing measurements keep accumulating, so bracketing is
+         invisible to them. *)
       (match Metrics.with_counting f with
       | result, metrics ->
           close_frame b frame metrics;

@@ -70,13 +70,83 @@ module Crc32 = struct
            done;
            !c))
 
-  let digest b =
+  let digest_sub b pos len =
     let table = Lazy.force table in
     let crc = ref 0xFFFFFFFF in
-    for i = 0 to Bytes.length b - 1 do
+    for i = pos to pos + len - 1 do
       crc := table.((!crc lxor Bytes.get_uint8 b i) land 0xFF) lxor (!crc lsr 8)
     done;
     !crc lxor 0xFFFFFFFF
+
+  let digest b = digest_sub b 0 (Bytes.length b)
+end
+
+module Record = struct
+  let header_len = 3
+  let frame_len = 8 (* u32 length + u32 crc *)
+
+  let write_header w ~magic ~version =
+    Writer.u16 w magic;
+    Writer.u8 w version
+
+  let write_frame w payload =
+    Writer.u32 w (Bytes.length payload);
+    Writer.u32 w (Crc32.digest payload);
+    Writer.raw w payload
+
+  let to_bytes write =
+    let w = Writer.create () in
+    write w;
+    Writer.contents w
+
+  let header ~magic ~version = to_bytes (write_header ~magic ~version)
+  let frame payload = to_bytes (fun w -> write_frame w payload)
+
+  let seal ~magic ~version payload =
+    to_bytes (fun w ->
+        write_header w ~magic ~version;
+        write_frame w payload)
+
+  let check_header ~magic ~versions:(oldest, newest) b =
+    if Bytes.length b < header_len then Error "truncated header"
+    else if Bytes.get_uint16_le b 0 <> magic then Error "bad magic"
+    else
+      let version = Bytes.get_uint8 b 2 in
+      if version < oldest || version > newest then
+        Error (Printf.sprintf "unsupported version %d" version)
+      else Ok version
+
+  type frame =
+    | Intact of { payload : bytes; stop : int }
+    | Checksum_failed of { stop : int }
+    | Past_end
+
+  let u32_at b pos =
+    Bytes.get_uint16_le b pos lor (Bytes.get_uint16_le b (pos + 2) lsl 16)
+
+  let read_frame b pos =
+    let size = Bytes.length b in
+    if pos < 0 || pos > size - frame_len then Past_end
+    else
+      let len = u32_at b pos and start = pos + frame_len in
+      if start + len > size then Past_end
+      else if Crc32.digest_sub b start len <> u32_at b (pos + 4) then
+        Checksum_failed { stop = start + len }
+      else Intact { payload = Bytes.sub b start len; stop = start + len }
+
+  let unseal ~magic ~versions b =
+    let size = Bytes.length b in
+    if size < header_len + frame_len then Error "truncated header"
+    else
+      match check_header ~magic ~versions b with
+      | Error msg -> Error msg
+      | Ok version -> (
+          match read_frame b header_len with
+          | Intact { payload; stop } when stop = size -> Ok (version, payload)
+          | Checksum_failed { stop } when stop = size ->
+              Error "checksum mismatch"
+          | Intact _ | Checksum_failed _ | Past_end ->
+              Error "payload length mismatch")
 end
 
 module Codec (F : Field_intf.S) = struct

@@ -40,9 +40,70 @@ end
 
 module Crc32 : sig
   val digest : bytes -> int
-  (** CRC-32 (IEEE 802.3) of the whole buffer, in [[0, 2^32)]. Used to
-      checksum persisted pool snapshots so corruption is detected before
-      decoding. *)
+  (** CRC-32 (IEEE 802.3) of the whole buffer, in [[0, 2^32)]. The
+      checksum {!Record} frames carry. *)
+end
+
+(** Checksummed records: the one container format behind the pool
+    snapshot, the beacon snapshot and the beacon journal.
+
+    {v
+    header  offset  size  field
+            0       2     magic    (names the format)
+            2       1     version  (checked against an accepted range)
+    frame   0       4     length   payload byte count
+            4       4     CRC-32   of the payload
+            8       len   payload
+    v}
+
+    A snapshot is {!seal}ed: one header followed by exactly one frame,
+    and nothing else. A journal is one header followed by a run of
+    frames, read one at a time with {!read_frame}; what a failed frame
+    means (a torn append or fatal damage) is the journal's policy, not
+    the codec's. The CRC covers the payload only: a flipped version bit
+    can turn one accepted version into another, which the loader's
+    per-version payload decode must then reject. *)
+module Record : sig
+  val header_len : int
+  (** 3: u16 magic, u8 version. *)
+
+  val header : magic:int -> version:int -> bytes
+  (** The 3-byte header alone, for a format that appends its frames
+      later. *)
+
+  val check_header :
+    magic:int -> versions:int * int -> bytes -> (int, string) result
+  (** The version of the header that starts the buffer, when the magic
+      matches and the version lies in the inclusive [versions] range;
+      otherwise a diagnostic ("truncated header", "bad magic",
+      "unsupported version N"). *)
+
+  val frame : bytes -> bytes
+  (** Length, CRC-32, then the payload. *)
+
+  type frame =
+    | Intact of { payload : bytes; stop : int }
+        (** the checksum holds; [stop] is the offset just past it *)
+    | Checksum_failed of { stop : int }
+        (** the frame fits in the buffer but its payload does not match
+            its CRC; [stop] is the end its length field declares *)
+    | Past_end  (** the frame header or its declared payload overruns *)
+
+  val read_frame : bytes -> int -> frame
+  (** Read the frame that starts at the given offset. Total: never
+      raises, whatever the bytes. *)
+
+  val seal : magic:int -> version:int -> bytes -> bytes
+  (** A header followed by one frame of the payload. *)
+
+  val unseal :
+    magic:int -> versions:int * int -> bytes -> (int * bytes, string) result
+  (** Inverse of {!seal}: the version and payload, when the buffer is
+      exactly one intact sealed record of an accepted version. The
+      error names the first check that failed: "truncated header",
+      "bad magic", "unsupported version N", "payload length mismatch"
+      (the frame does not end at the end of the buffer) or "checksum
+      mismatch". *)
 end
 
 module Codec (F : Field_intf.S) : sig

@@ -157,6 +157,46 @@ let test_journal_mid_corruption_fatal () =
   | (_ : J.recovery) -> Alcotest.fail "foreign file accepted as a journal"
   | exception J.Corrupt_journal _ -> ()
 
+(* No single-bit flip before the final record may pass as a torn tail.
+   A flipped length field makes an interior record overrun end-of-file
+   exactly like a cut append; the intact record after it is what gives
+   the damage away. Only the final record's own frame is left to the
+   torn-tail verdict. *)
+let test_journal_flip_before_final_record_fatal () =
+  in_scratch "flips" @@ fun dir ->
+  let path = Filename.concat dir "j" in
+  let w = J.create ~sync:J.Flush_only path in
+  let bodies = [ String.make 20 'a'; String.make 21 'b'; String.make 20 'c' ] in
+  List.iter (fun b -> J.append w (Bytes.of_string b)) (bodies @ [ "final" ]);
+  J.close w;
+  let whole =
+    let ic = open_in_bin path in
+    let s = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    Bytes.of_string s
+  in
+  (* 3-byte header, then per record an 8-byte frame and a 4-byte seq. *)
+  let final_at =
+    List.fold_left (fun at b -> at + 12 + String.length b) 3 bodies
+  in
+  Alcotest.(check int) "100 bytes precede the final record" 100 final_at;
+  let flipped = Filename.concat dir "flipped" in
+  for pos = 0 to final_at - 1 do
+    for bit = 0 to 7 do
+      let b = Bytes.copy whole in
+      Bytes.set_uint8 b pos (Bytes.get_uint8 b pos lxor (1 lsl bit));
+      let oc = open_out_bin flipped in
+      output_bytes oc b;
+      close_out oc;
+      match J.recover flipped with
+      | r ->
+          Alcotest.failf
+            "flip at byte %d bit %d recovered %d of 4 records with no error"
+            pos bit (List.length r.J.records)
+      | exception J.Corrupt_journal _ -> ()
+    done
+  done
+
 let test_crash_point_budget () =
   in_scratch "budget" @@ fun dir ->
   let path = Filename.concat dir "j" in
@@ -505,6 +545,8 @@ let suite =
       test_journal_torn_tail_every_offset;
     Alcotest.test_case "journal mid-corruption is fatal" `Quick
       test_journal_mid_corruption_fatal;
+    Alcotest.test_case "journal flip before the final record is fatal" `Quick
+      test_journal_flip_before_final_record_fatal;
     Alcotest.test_case "crash-point counting and budget" `Quick
       test_crash_point_budget;
     Alcotest.test_case "write_file_atomic" `Quick test_write_file_atomic;

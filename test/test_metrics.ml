@@ -46,9 +46,9 @@ let test_restores_on_exception () =
   Alcotest.(check bool) "disabled after exception" false
     (Metrics.counting_enabled ())
 
-(* Every live sink accumulates every tick: a tick inside a doubly-nested
-   measurement reaches all three sinks, and closing an inner sink never
-   steals what the outer ones already saw. *)
+(* Every open measurement sees every tick: a tick inside a doubly-nested
+   measurement reaches all three, and closing an inner one never steals
+   what the outer ones already saw. *)
 let test_deep_nesting_accumulates_everywhere () =
   let (), outer =
     Metrics.with_counting (fun () ->
@@ -75,7 +75,7 @@ let test_without_counting_suppresses () =
             Metrics.tick_round ();
             Alcotest.(check bool) "suspended inside" false
               (Metrics.counting_enabled ()));
-        (* Counting resumes: later ticks land in the sink again. *)
+        (* Counting resumes: later ticks are charged again. *)
         Metrics.tick_adds 10)
   in
   Alcotest.(check int) "suppressed ticks invisible" 11 snap.Metrics.field_adds;
@@ -94,8 +94,8 @@ let test_without_counting_restores_on_exception () =
   in
   Alcotest.(check int) "sink restored after raise" 11 snap.Metrics.field_adds
 
-(* An inner with_counting that raises must still pop only its own sink:
-   the outer measurement keeps accumulating afterwards. *)
+(* An inner with_counting that raises must close only itself: the outer
+   measurement keeps accumulating afterwards. *)
 let test_inner_exception_keeps_outer_sink () =
   let (), outer =
     Metrics.with_counting (fun () ->
@@ -108,10 +108,30 @@ let test_inner_exception_keeps_outer_sink () =
          with Failure _ -> ());
         Metrics.tick_adds 10)
   in
-  (* The inner ticks happened while the outer sink was live, so the
-     outer total includes them — only the inner sink is discarded. *)
+  (* The inner ticks happened while the outer measurement was open, so
+     the outer total includes them — only the inner result is lost. *)
   Alcotest.(check int) "outer saw everything" 111 outer.Metrics.field_adds;
   Alcotest.(check bool) "fully unwound" false (Metrics.counting_enabled ())
+
+(* A measurement opened inside a suspended region sees its own ticks,
+   yet none of them reach the measurement that was suspended. *)
+let test_measurement_inside_suspension_stays_local () =
+  let (), outer =
+    Metrics.with_counting (fun () ->
+        Metrics.tick_adds 1;
+        Metrics.without_counting (fun () ->
+            let (), inner =
+              Metrics.with_counting (fun () ->
+                  Metrics.tick_adds 100;
+                  Metrics.tick_message ~bytes_len:8)
+            in
+            Alcotest.(check int) "inner adds" 100 inner.Metrics.field_adds;
+            Alcotest.(check int) "inner bytes" 8 inner.Metrics.bytes);
+        Metrics.tick_adds 10)
+  in
+  Alcotest.(check int) "outer adds unchanged" 11 outer.Metrics.field_adds;
+  Alcotest.(check int) "outer messages unchanged" 0 outer.Metrics.messages;
+  Alcotest.(check int) "outer bytes unchanged" 0 outer.Metrics.bytes
 
 let test_add_diff () =
   let a = { Metrics.zero with Metrics.field_adds = 5; messages = 2 } in
@@ -146,6 +166,8 @@ let suite =
       test_without_counting_restores_on_exception;
     Alcotest.test_case "inner exception keeps outer sink" `Quick
       test_inner_exception_keeps_outer_sink;
+    Alcotest.test_case "measurement inside suspension stays local" `Quick
+      test_measurement_inside_suspension_stays_local;
     Alcotest.test_case "add and diff" `Quick test_add_diff;
     Alcotest.test_case "no ticks without sink" `Quick test_no_ticks_without_sink;
     Alcotest.test_case "to_row labels" `Quick test_to_row_labels;

@@ -222,6 +222,16 @@ let test_ledger_roundtrip () =
   in
   Alcotest.(check bool) "None config discards" true (PL.ledger bare = None)
 
+(* The snapshot formats' magics, pinned here so the fixtures below
+   catch a change to them. *)
+let pool_magic = 0xD9B6
+let beacon_magic = 0xBEA1
+
+let unseal ~magic ~version bytes =
+  match Wire.Record.unseal ~magic ~versions:(version, version) bytes with
+  | Ok (_, payload) -> payload
+  | Error msg -> Alcotest.failf "unseal: %s" msg
+
 (* Keep reading v-previous: a v2 snapshot is exactly the v3 payload
    without the ledger section, under a version-2 header. *)
 let make_v2_snapshot () =
@@ -232,17 +242,13 @@ let make_v2_snapshot () =
   for _ = 1 to 10 do
     ignore (PL.draw_kary p)
   done;
-  let v3 = PL.save p in
+  let v3 = unseal ~magic:pool_magic ~version:3 (PL.save p) in
   (* A sentinel-free pool's v3 payload ends with the single flag byte
-     0x00; strip it and re-head as version 2. *)
-  let payload = Bytes.sub v3 11 (Bytes.length v3 - 12) in
-  let h = Wire.Writer.create () in
-  Wire.Writer.u16 h 0xD9B6;
-  Wire.Writer.u8 h 2;
-  Wire.Writer.u32 h (Bytes.length payload);
-  Wire.Writer.u32 h (Wire.Crc32.digest payload);
-  Wire.Writer.raw h payload;
-  (Wire.Writer.contents h, PL.stats p, PL.available p)
+     0x00; strip it and reseal as version 2. *)
+  let payload = Bytes.sub v3 0 (Bytes.length v3 - 1) in
+  ( Wire.Record.seal ~magic:pool_magic ~version:2 payload,
+    PL.stats p,
+    PL.available p )
 
 let test_load_reads_v2 () =
   let v2, saved_stats, saved_avail = make_v2_snapshot () in
@@ -344,22 +350,17 @@ let test_beacon_truncation_every_offset () =
    restart at 1 — the pre-journal behavior. *)
 let test_beacon_load_reads_v1 () =
   let v2, b = make_beacon_snapshot 16 in
-  let payload = Bytes.sub v2 11 (Bytes.length v2 - 11) in
+  let payload = unseal ~magic:beacon_magic ~version:2 v2 in
   (* u32 next_seq + 16-byte head + five u32 counters = 40 bytes, then
      the u32 next_request_id v1 lacks. *)
   let v1_payload =
     Bytes.cat (Bytes.sub payload 0 40)
       (Bytes.sub payload 44 (Bytes.length payload - 44))
   in
-  let h = Wire.Writer.create () in
-  Wire.Writer.u16 h 0xBEA1;
-  Wire.Writer.u8 h 1;
-  Wire.Writer.u32 h (Bytes.length v1_payload);
-  Wire.Writer.u32 h (Wire.Crc32.digest v1_payload);
-  Wire.Writer.raw h v1_payload;
   let q =
     BC.load ~key:"persist-key" ~prng:(Prng.of_int 17) ~batch_size:16
-      ~refill_threshold:3 (Wire.Writer.contents h)
+      ~refill_threshold:3
+      (Wire.Record.seal ~magic:beacon_magic ~version:1 v1_payload)
   in
   Alcotest.(check int) "chain position preserved" (BC.next_seq b)
     (BC.next_seq q);

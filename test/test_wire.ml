@@ -163,6 +163,95 @@ let test_frame_adversarial () =
     (Invalid_argument "Frame.encode: src 70000 out of u16 range") (fun () ->
       ignore (Frame.encode Frame.Msg ~src:70000 ~dst:0 ~uid:0 ~payload:Bytes.empty))
 
+(* ------------- checksummed records (Wire.Record) ----------------- *)
+
+(* The snapshot and journal formats differ only in magic and accepted
+   versions, so the property draws both at random. Each case seals one
+   payload at every version of the accepted range and attacks the
+   result. A flipped version bit that lands on another accepted version
+   is the one flip the codec cannot see (the CRC covers the payload):
+   it must surface as that other version, never as the sealed one, so
+   the loader's per-version decode gets the last word. *)
+let prop_record_seal_unseal =
+  QCheck.Test.make ~count:40 ~name:"record seal/unseal and every damage"
+    QCheck.(
+      quad (int_range 0 0xFFFF) (int_range 0 0xFF) (int_range 0 2)
+        (string_of_size (QCheck.Gen.int_range 0 300)))
+    (fun (magic, oldest, span, payload) ->
+      let newest = min 0xFF (oldest + span) in
+      let versions = (oldest, newest) in
+      let payload = Bytes.of_string payload in
+      let unseal = Wire.Record.unseal ~magic ~versions in
+      let rejected b = Result.is_error (unseal b) in
+      let holds_at v sealed =
+        let size = Bytes.length sealed in
+        let every_prefix_rejected =
+          List.for_all (fun len -> rejected (Bytes.sub sealed 0 len))
+            (List.init size Fun.id)
+        in
+        let every_flip_caught =
+          List.for_all
+            (fun i ->
+              let b = Bytes.copy sealed in
+              let pos = i / 8 in
+              Bytes.set_uint8 b pos
+                (Bytes.get_uint8 b pos lxor (1 lsl (i mod 8)));
+              match unseal b with
+              | Error _ -> true
+              | Ok (v', p) -> pos = 2 && v' <> v && Bytes.equal p payload)
+            (List.init (8 * size) Fun.id)
+        in
+        let every_appended_byte_rejected =
+          List.for_all
+            (fun x -> rejected (Bytes.cat sealed (Bytes.make 1 (Char.chr x))))
+            (List.init 256 Fun.id)
+        in
+        unseal sealed = Ok (v, payload)
+        && Wire.Record.read_frame sealed Wire.Record.header_len
+           = Intact { payload; stop = size }
+        && every_prefix_rejected && every_flip_caught
+        && every_appended_byte_rejected
+        && Wire.Record.unseal ~magic:(magic lxor 0x8000) ~versions sealed
+           = Error "bad magic"
+      in
+      let out_of_range v =
+        v < 0 || v > 0xFF
+        || unseal (Wire.Record.seal ~magic ~version:v payload)
+           = Error (Printf.sprintf "unsupported version %d" v)
+      in
+      List.for_all
+        (fun v -> holds_at v (Wire.Record.seal ~magic ~version:v payload))
+        (List.init (newest - oldest + 1) (fun k -> oldest + k))
+      && out_of_range (oldest - 1)
+      && out_of_range (newest + 1))
+
+(* The journal reads frames one at a time from a shared buffer: a
+   frame cut short anywhere runs past the end, and a flip in its CRC or
+   payload fails the checksum at the end its length declares. *)
+let prop_record_read_frame =
+  QCheck.Test.make ~count:100 ~name:"record frame reader verdicts"
+    QCheck.(pair (string_of_size (QCheck.Gen.int_range 0 40))
+              (string_of_size (QCheck.Gen.int_range 0 64)))
+    (fun (prefix, payload) ->
+      let at = String.length prefix and payload = Bytes.of_string payload in
+      let buf =
+        Bytes.cat (Bytes.of_string prefix) (Wire.Record.frame payload)
+      in
+      let size = Bytes.length buf in
+      let read b = Wire.Record.read_frame b at in
+      read buf = Intact { payload; stop = size }
+      && List.for_all
+           (fun len -> read (Bytes.sub buf 0 len) = Past_end)
+           (List.init (size - at) (fun k -> at + k))
+      && List.for_all
+           (fun i ->
+             let b = Bytes.copy buf in
+             let pos = at + 4 + (i / 8) in
+             Bytes.set_uint8 b pos
+               (Bytes.get_uint8 b pos lxor (1 lsl (i mod 8)));
+             read b = Checksum_failed { stop = size })
+           (List.init (8 * (size - at - 4)) Fun.id))
+
 let test_payload_size_formula () =
   Alcotest.(check int) "empty" 4 (C.payload_size ~clique:[] ~poly_sizes:[]);
   Alcotest.(check int) "typical"
@@ -188,4 +277,6 @@ let suite =
         prop_opt_elt_array_roundtrip;
         prop_frame_roundtrip;
         prop_frame_garbage_is_typed;
+        prop_record_seal_unseal;
+        prop_record_read_frame;
       ]
