@@ -292,17 +292,46 @@ module Make (F : Field_intf.S) = struct
         ~follower_behavior:adversary.as_gradecast_follower ~equal:payload_equal
         ~byte_size:payload_bytes ~n ~t ~values:payload_of ()
     in
-    (* Step 10 conditions, evaluated from player i's own state. *)
+    (* Step 10 conditions, evaluated from player i's own state.
+       [share_ok j k]: player j's gamma for dealer k, as player i received
+       it, lies on the agreed F_k. When the agreed coefficients are
+       exactly the F_k player i decoded itself, that predicate is the
+       support [decode_check] already returned ("gamma present and on
+       F_k") and is read off with t + 1 compares and no multiply; any
+       other polynomial — a rejected, undecodable or zero-secret-refused
+       dealing, or one the leader made up — is evaluated. *)
+    let own_decode i k coeffs =
+      match checks.(i).(k) with
+      | Some f, support when Array.length coeffs = P.degree f + 1 ->
+          let rec same d =
+            d < 0 || (F.equal coeffs.(d) (P.coeff f d) && same (d - 1))
+          in
+          if same (Array.length coeffs - 1) then Some support else None
+      | _ -> None
+    in
+    let share_check i pay =
+      (* Indexed by dealer; a well-formed payload carries exactly one
+         polynomial per clique member, and only clique members are
+         asked about. *)
+      let on_fk = Array.make n None in
+      List.iter
+        (fun (k, coeffs) ->
+          on_fk.(k) <-
+            Some
+              (match own_decode i k coeffs with
+              | Some support -> Array.get support
+              | None -> (
+                  let f = P.of_coeffs coeffs in
+                  fun j ->
+                    match gammas.(i).(j).(k) with
+                    | Some v -> F.equal (P.eval f (S.eval_point j)) v
+                    | None -> false)))
+        pay.polys;
+      fun j k ->
+        match on_fk.(k) with Some on -> on j | None -> raise Not_found
+    in
     let condition_iii i pay =
-      let poly_of =
-        List.map (fun (k, coeffs) -> (k, P.of_coeffs coeffs)) pay.polys
-      in
-      let share_ok j k =
-        match gammas.(i).(j).(k) with
-        | Some v ->
-            F.equal (P.eval (List.assoc k poly_of) (S.eval_point j)) v
-        | None -> false
-      in
+      let share_ok = share_check i pay in
       let good_j j = List.for_all (fun k -> share_ok j k) pay.clique in
       let good_count = List.length (List.filter good_j pay.clique) in
       good_count >= (3 * t) + 1
@@ -398,9 +427,6 @@ module Make (F : Field_intf.S) = struct
               (String.concat "," (List.map string_of_int pay.clique))
               m iterations coins_used);
         let dealers = pay.clique in
-        let poly_of =
-          List.map (fun (k, coeffs) -> (k, P.of_coeffs coeffs)) pay.polys
-        in
         let shares =
           Array.init n (fun i ->
               Array.init m (fun h ->
@@ -413,16 +439,9 @@ module Make (F : Field_intf.S) = struct
         in
         let trusted =
           Array.init n (fun i ->
+              let share_ok = share_check i pay in
               Array.init n (fun j ->
-                  List.for_all
-                    (fun k ->
-                      match gammas.(i).(j).(k) with
-                      | Some v ->
-                          F.equal
-                            (P.eval (List.assoc k poly_of) (S.eval_point j))
-                            v
-                      | None -> false)
-                    dealers))
+                  List.for_all (fun k -> share_ok j k) dealers))
         in
         Some
           {

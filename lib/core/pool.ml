@@ -158,6 +158,51 @@ module Make (F : Field_intf.S) = struct
               (List.length implied) p.fault_bound (List.length quarantined)
               (List.length dead) table))
 
+  (* The players' reconstructions, tallied: the most common value and
+     its count. The usual outcome — every player reconstructed the same
+     value — is recognised by one F.equal scan and answered as the
+     string-keyed tally would (count n, its last-inserted element).
+     Anything else takes that tally, whose ties resolve in Hashtbl.fold
+     order; a tie can only arise when the count misses n, which is
+     already a counted unanimity failure. *)
+  let tally values =
+    let n = Array.length values in
+    let unanimous =
+      n > 0
+      &&
+      match values.(0) with
+      | None -> false
+      | Some x ->
+          let rec from i =
+            i >= n
+            || (match values.(i) with Some y -> F.equal x y | None -> false)
+               && from (i + 1)
+          in
+          from 1
+    in
+    if unanimous then Some (n, Option.get values.(n - 1))
+    else begin
+      let counts = Hashtbl.create 7 in
+      Array.iter
+        (function
+          | None -> ()
+          | Some x ->
+              let key = F.to_string x in
+              let prev =
+                match Hashtbl.find_opt counts key with
+                | Some (c, _) -> c
+                | None -> 0
+              in
+              Hashtbl.replace counts key (prev + 1, x))
+        values;
+      Hashtbl.fold
+        (fun _ (c, x) acc ->
+          match acc with
+          | Some (c', _) when c' >= c -> acc
+          | _ -> Some (c, x))
+        counts None
+    end
+
   (* Expose the next sealed coin and return the honest players' majority
      reconstruction. Counts a unanimity failure when any player's
      decoding disagrees or fails (bounded by M n 2^-k per batch). *)
@@ -173,28 +218,7 @@ module Make (F : Field_intf.S) = struct
           with_sentinel p (fun () ->
               CE.run ~sender_behavior:(p.expose_behavior p.refills) coin)
         in
-        let counts = Hashtbl.create 7 in
-        Array.iter
-          (fun v ->
-            match v with
-            | None -> ()
-            | Some x ->
-                let key = F.to_string x in
-                let prev =
-                  match Hashtbl.find_opt counts key with
-                  | Some (c, _) -> c
-                  | None -> 0
-                in
-                Hashtbl.replace counts key (prev + 1, x))
-          values;
-        let best =
-          Hashtbl.fold
-            (fun _ (c, x) acc ->
-              match acc with
-              | Some (c', _) when c' >= c -> acc
-              | _ -> Some (c, x))
-            counts None
-        in
+        let best = tally values in
         (match best with
         | Some (c, _) when c = p.n -> ()
         | _ -> p.unanimity_failures <- p.unanimity_failures + 1);

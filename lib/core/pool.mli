@@ -152,6 +152,14 @@ module Make (F : Field_intf.S) : sig
       the threshold. The returned value is what the honest players
       jointly reconstructed. *)
 
+  val tally : F.t option array -> (int * F.t) option
+  (** How a draw reads the players' reconstructions: the most frequent
+      value with its count ([None] when nobody reconstructed). A
+      unanimous array is answered in one {!Field_intf.S.equal} scan;
+      any other goes through a tally keyed by [F.to_string], whose
+      ties resolve in hash-table order. Exposed for the differential
+      test against that tally alone. *)
+
   val draw_bit : t -> bool
   (** One binary coin. A single k-ary coin funds [k_bits] of these
       (Section 3.1: "each coin generates in fact 'k' random coins"), so

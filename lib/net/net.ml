@@ -272,17 +272,33 @@ exception Desync of string
     with the coordinator's bookkeeping. Always a transport bug, never a
     simulated fault — simulated faults are decided before posting. *)
 
+(* The one sizing rule. A message's size is read only by the cost
+   counters and by trace events, so [byte_size] runs only while one of
+   them is listening: an open measurement, for a message to another
+   player ([counted]; self-messages are free), or a trace collector, for
+   any message (its send and receive events carry the size). Unobserved,
+   nothing is sized and [unsized] stands in; it reaches only no-op
+   ticks. *)
+let unsized = -1
+
+let observed_size ~counted byte_size msg =
+  if (counted && Metrics.counting_enabled ()) || Trace.enabled () then
+    byte_size msg
+  else unsized
+
 type 'msg t = {
   n : int;
   byte_size : 'msg -> int;
   codec : (('msg -> bytes) * (bytes -> 'msg)) option;
   plan : Plan.t option;
   carrier : 'msg Carrier.t option;
-  (* queues.(dst) holds (src, uid, msg) in reverse send order. *)
-  queues : (int * int * 'msg) list array;
-  (* In-flight delayed messages: (arrival_round, src, dst, msg), with
-     arrival measured on the plan's global round clock. *)
-  mutable delayed : (int * int * int * 'msg) list;
+  (* queues.(dst) holds (src, uid, bytes, msg) in reverse send order;
+     [bytes] is the send-time {!observed_size}, reused by the [Recv]
+     event so a traced message is sized once. *)
+  queues : (int * int * int * 'msg) list array;
+  (* In-flight delayed messages: (arrival_round, src, dst, bytes, msg),
+     with arrival measured on the plan's global round clock. *)
+  mutable delayed : (int * int * int * int * 'msg) list;
   mutable rounds : int;
   (* Next per-network message uid; identifies each queued message to the
      carrier so delivery can match physical frames back to the
@@ -321,17 +337,17 @@ let check_id t label i =
 (* Every message surviving the fault decision goes through here: it is
    posted to the carrier (when one is attached) under a fresh uid and
    recorded in the coordinator's queue under the same uid. *)
-let queue_message t ~src ~dst msg =
+let queue_message t ~src ~dst ~bytes msg =
   let uid = t.next_uid in
   t.next_uid <- uid + 1;
   (match t.carrier with
   | Some c -> c.Carrier.post ~src ~dst ~uid msg
   | None -> ());
-  (src, uid, msg)
+  (src, uid, bytes, msg)
 
-let enqueue t ~src ~dst msg =
+let enqueue t ~src ~dst ~bytes msg =
   t.enqueued <- t.enqueued + 1;
-  t.queues.(dst) <- queue_message t ~src ~dst msg :: t.queues.(dst)
+  t.queues.(dst) <- queue_message t ~src ~dst ~bytes msg :: t.queues.(dst)
 
 let corrupted_copy t plan msg =
   match t.codec with
@@ -344,8 +360,8 @@ let corrupted_copy t plan msg =
 let send t ~src ~dst msg =
   check_id t "send" src;
   check_id t "send" dst;
+  let bytes = observed_size ~counted:(src <> dst) t.byte_size msg in
   if src <> dst then begin
-    let bytes = t.byte_size msg in
     Metrics.tick_message ~bytes_len:bytes;
     (* The event thunk allocates even when no collector is installed;
        at n players that is n^2 closures per round, so guard it. *)
@@ -353,26 +369,32 @@ let send t ~src ~dst msg =
       Trace.event (fun () -> Trace.Send { src; dst; bytes })
   end;
   match t.plan with
-  | None -> enqueue t ~src ~dst msg
+  | None -> enqueue t ~src ~dst ~bytes msg
   | Some plan ->
       if Plan.down plan src then Plan.count_crashed_msg plan
       else if src = dst then
         (* Local hand-off: a player's channel to itself is its own
            memory — only a crash can lose it. *)
-        enqueue t ~src ~dst msg
+        enqueue t ~src ~dst ~bytes msg
       else begin
         match Plan.link_fate plan with
-        | Plan.Deliver -> enqueue t ~src ~dst msg
+        | Plan.Deliver -> enqueue t ~src ~dst ~bytes msg
         | Plan.Drop -> ()
         | Plan.Delay d ->
             t.delayed <-
-              (Plan.rounds_elapsed plan + 1 + d, src, dst, msg) :: t.delayed
+              (Plan.rounds_elapsed plan + 1 + d, src, dst, bytes, msg)
+              :: t.delayed
         | Plan.Duplicate ->
-            enqueue t ~src ~dst msg;
-            enqueue t ~src ~dst msg
+            enqueue t ~src ~dst ~bytes msg;
+            enqueue t ~src ~dst ~bytes msg
         | Plan.Corrupt -> (
             match corrupted_copy t plan msg with
-            | Some msg' -> enqueue t ~src ~dst msg'
+            | Some msg' ->
+                (* The mangled value is what arrives; its receive event
+                   carries its own size. *)
+                enqueue t ~src ~dst
+                  ~bytes:(observed_size ~counted:false t.byte_size msg')
+                  msg'
             | None -> ())
       end
 
@@ -411,12 +433,13 @@ let deliver t =
   | Some plan ->
       let now = Plan.rounds_elapsed plan in
       let ready, waiting =
-        List.partition (fun (at, _, _, _) -> at <= now) t.delayed
+        List.partition (fun (at, _, _, _, _) -> at <= now) t.delayed
       in
       t.delayed <- waiting;
       List.iter
-        (fun (_, src, dst, msg) ->
-          t.queues.(dst) <- t.queues.(dst) @ [ queue_message t ~src ~dst msg ])
+        (fun (_, src, dst, bytes, msg) ->
+          t.queues.(dst) <-
+            t.queues.(dst) @ [ queue_message t ~src ~dst ~bytes msg ])
         (List.rev ready));
   Log.debug (fun m ->
       let pending =
@@ -457,7 +480,7 @@ let deliver t =
                skips the sort (and its allocations) exactly when sorting
                would be the identity, which keeps the inbox identical. *)
             let rec sorted_by_src = function
-              | (a, _, _) :: ((b, _, _) :: _ as rest) ->
+              | (a, _, _, _) :: ((b, _, _, _) :: _ as rest) ->
                   a <= b && sorted_by_src rest
               | _ -> true
             in
@@ -466,7 +489,7 @@ let deliver t =
               if sorted_by_src restored then restored
               else
                 List.stable_sort
-                  (fun (a, _, _) (b, _, _) -> Int.compare a b)
+                  (fun (a, _, _, _) (b, _, _, _) -> Int.compare a b)
                   restored
             in
             match plan with
@@ -485,7 +508,7 @@ let deliver t =
     | Some plan when Plan.real_crash_count plan > 0 ->
         let now = Plan.rounds_elapsed plan in
         Array.map
-          (List.filter (fun (src, uid, _) ->
+          (List.filter (fun (src, uid, _, _) ->
                if uid < fresh_boundary && Plan.really_down_at plan now src
                then begin
                  Plan.count_crashed_msg plan;
@@ -498,13 +521,13 @@ let deliver t =
   let inbox =
     match (t.carrier, arrived) with
     | None, _ | _, None ->
-        Array.map (List.map (fun (src, _, msg) -> (src, msg))) tagged
+        Array.map (List.map (fun (src, _, _, msg) -> (src, msg))) tagged
     | Some c, Some arrived ->
         (* Materialize each inbox entry from the value that physically
            traversed the carrier, matched by uid. A missing uid means
            the backend lost a frame the coordinator accounted for. *)
         Array.map
-          (List.map (fun (src, uid, _) ->
+          (List.map (fun (src, uid, _, _) ->
                match Hashtbl.find_opt arrived uid with
                | Some msg -> (src, msg)
                | None ->
@@ -515,15 +538,19 @@ let deliver t =
                            c.Carrier.name uid src))))
           tagged
   in
+  (* Receive events follow inbox order and carry the send-time size
+     (a carrier hands back the value that was posted, so it is the same
+     message); only a message sent before the collector was installed
+     is sized here. *)
   if Trace.enabled () then
     Array.iteri
       (fun dst msgs ->
         List.iter
-          (fun (src, msg) ->
-            Trace.event (fun () ->
-                Trace.Recv { src; dst; bytes = t.byte_size msg }))
+          (fun (src, _, bytes, msg) ->
+            let bytes = if bytes = unsized then t.byte_size msg else bytes in
+            Trace.event (fun () -> Trace.Recv { src; dst; bytes }))
           msgs)
-      inbox;
+      tagged;
   t.last_enqueued <- t.enqueued;
   t.enqueued <- 0;
   inbox

@@ -190,6 +190,15 @@ exception Desync of string
 
 (** {1 Networks} *)
 
+val observed_size : counted:bool -> ('msg -> int) -> 'msg -> int
+(** The one sizing rule shared by {!send}, {!deliver}'s receive events
+    and the broadcast channel in [Transport]: [observed_size ~counted
+    byte_size msg] is [byte_size msg] while a {!Metrics} measurement is
+    open and [counted] holds, or while a {!Trace} collector is
+    installed; otherwise it is [-1] and [byte_size] is not called.
+    [counted] says the message is communication the counters charge
+    (not a self-message). *)
+
 type 'msg t
 
 val create :
@@ -200,8 +209,11 @@ val create :
   unit ->
   'msg t
 (** A fresh network for one protocol execution. [byte_size] gives the
-    wire size of each message for communication accounting. The network
-    captures the ambient fault plan, if any. [codec] is the wire
+    wire size of each message for communication accounting and trace
+    events. It runs only while someone reads the size (see
+    {!observed_size}), at most once per message, so it must be pure: an
+    untraced, unmeasured run never calls it. The network captures the
+    ambient fault plan, if any. [codec] is the wire
     encoding used for byte-level corruption faults: a corrupted message
     is re-encoded, has one bit flipped, and is re-decoded — if the
     strict decoder rejects the mangled bytes the message is dropped

@@ -327,15 +327,21 @@ let absent_counts = Net.absent_counts
 
 (* ----------------------- Broadcast channel ----------------------- *)
 
+(* One announcement is one counted message, sized once and only while
+   observed (Net's sizing rule); the event thunk is guarded because it
+   allocates even with no collector installed. *)
+let tick_announcement ~byte_size ~src v =
+  let bytes = Net.observed_size ~counted:true byte_size v in
+  Metrics.tick_message ~bytes_len:bytes;
+  if Trace.enabled () then Trace.event (fun () -> Trace.Broadcast { src; bytes })
+
 let bcast_fault_free ~byte_size ~n announce =
   Metrics.tick_round ();
   Array.init n (fun i ->
       match announce i with
       | None -> None
       | Some v ->
-          Metrics.tick_message ~bytes_len:(byte_size v);
-          Trace.event (fun () ->
-              Trace.Broadcast { src = i; bytes = byte_size v });
+          tick_announcement ~byte_size ~src:i v;
           Some v)
 
 (* Under a fault plan the channel can fail whole announcements (it never
@@ -358,9 +364,7 @@ let bcast_degraded plan ?codec ~byte_size ~n announce =
           match announce i with
           | None -> ()
           | Some v ->
-              Metrics.tick_message ~bytes_len:(byte_size v);
-              Trace.event (fun () ->
-                  Trace.Broadcast { src = i; bytes = byte_size v });
+              tick_announcement ~byte_size ~src:i v;
               if Plan.down plan i then Plan.note_crashed_msg plan
               else (
                 match Plan.broadcast_fate plan with

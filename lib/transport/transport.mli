@@ -157,7 +157,8 @@ val create :
 (** Like {!Net.create}, on the ambient backend. Under [Domains]/[Socket]
     every queued message is framed and physically posted to the
     addressee's worker; [codec] (when given) is the on-wire payload
-    encoding, otherwise [Marshal] is used. *)
+    encoding, otherwise [Marshal] is used. [byte_size] runs only while
+    counting or tracing ({!Net.observed_size}) and must be pure. *)
 
 val n : _ conn -> int
 val send : 'msg conn -> src:int -> dst:int -> 'msg -> unit
@@ -186,4 +187,7 @@ val broadcast_round :
     vector is additionally replicated through the physical layer — one
     frame per (announcement, receiver) — and the returned vector is
     rebuilt from the frames that actually traversed it, with a
-    {!Backend_failure} if any receiver's copy diverges. *)
+    {!Backend_failure} if any receiver's copy diverges. Each
+    announcement ticks one message; [byte_size] sizes it once, only
+    while counting or tracing ({!Net.observed_size}), and must be
+    pure. *)

@@ -227,6 +227,116 @@ let test_other_fault_bounds () =
         seeds)
     [ (1, [ 1; 2; 3; 4 ]); (3, [ 1; 2 ]) ]
 
+(* Known answers for step 10 (conditions i-iii and the trusted matrix)
+   under adversaries that push it off the all-honest path. Each digest
+   covers everything step 10 decides: the agreed dealers, every
+   player's trusted row, the summed shares, the BA iterations and the
+   seed coins consumed. *)
+let batch_digest = function
+  | None -> "no batch"
+  | Some b ->
+      let buf = Buffer.create 1024 in
+      List.iter (Printf.bprintf buf "%d,") b.CG.dealers;
+      Buffer.add_char buf '|';
+      Array.iter
+        (Array.iter (fun ok -> Buffer.add_char buf (if ok then '1' else '0')))
+        b.CG.trusted;
+      Buffer.add_char buf '|';
+      Array.iter
+        (Array.iter (fun x -> Printf.bprintf buf "%s," (F.to_string x)))
+        b.CG.shares;
+      Printf.bprintf buf "|%d|%d" b.CG.ba_iterations b.CG.seed_coins_consumed;
+      Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* [faulty_with] silences every other sub-protocol; these cases vary one
+   behaviour and keep the rest honest. *)
+let faulty_only ?(as_dealer = CG.BG.Honest_dealer) ?(as_gamma = CG.Honest_vec)
+    ?(as_gradecast_dealer = Gradecast.Dealer_honest) faulty =
+  CG.faulty_with ~as_dealer ~as_gamma ~as_gradecast_dealer
+    ~as_gradecast_follower:Gradecast.Follower_honest ~as_ba:Phase_king.Honest
+    (Net.Faults.make ~n ~faulty)
+
+(* Seed coins for the faulty-leader case: the check coin, then zero,
+   whose leader index is 0, so the first leader drawn is player 0. *)
+let leader_zero_oracle seed =
+  let rest = ideal_oracle seed in
+  let calls = ref 0 in
+  fun () ->
+    incr calls;
+    if !calls = 2 then F.zero else rest ()
+
+let known_answer_cases =
+  let some_trusted_false b =
+    Array.exists (Array.exists not) (Option.get b).CG.trusted
+  in
+  [
+    (* Dealer 0 deals its own share off its polynomial: its dealing
+       decodes through Berlekamp-Welch with player 0 outside the
+       support, and it stays in the clique, so no player trusts 0. *)
+    ( "Inconsistent_to dealer (partial support via Berlekamp-Welch)",
+      (fun () ->
+        run ~adversary:(faulty_only ~as_dealer:(CG.BG.Inconsistent_to [ 0 ]) [ 0 ]) 11),
+      some_trusted_false,
+      "58f01eb8ccae3eb130c06563e12980e3" );
+    ( "Bad_degree dealers (rejected dealings)",
+      (fun () ->
+        run
+          ~adversary:
+            (faulty_only ~as_dealer:(CG.BG.Bad_degree [ 0; 1; 2; 3 ]) [ 0; 5 ])
+          12),
+      (fun b -> not (List.mem 0 (Option.get b).CG.dealers)),
+      "12533283e8f945277e39917cdba87f8c" );
+    ( "Arbitrary_vec gammas",
+      (fun () ->
+        let vec dst =
+          Array.init n (fun j ->
+              if (dst + j) mod 3 = 0 then None else Some (F.of_int ((dst * n) + j + 1)))
+        in
+        run ~adversary:(faulty_only ~as_gamma:(CG.Arbitrary_vec vec) [ 2; 11 ]) 13),
+      some_trusted_false,
+      "7e0c82461f0c15a421db5ec977981048" );
+    ( "zero-secrets batch with a non-zero dealer",
+      (fun () ->
+        let faulty = faulty_only [ 4 ] in
+        let adversary =
+          {
+            faulty with
+            CG.as_dealer =
+              (fun i -> if i = 4 then CG.BG.Honest_dealer else CG.BG.Honest_zero_dealer);
+          }
+        in
+        CG.run ~adversary ~zero_secrets:true ~prng:(Prng.of_int 14)
+          ~oracle:(ideal_oracle 1014) ~n ~t ~m ()),
+      (fun b -> not (List.mem 4 (Option.get b).CG.dealers)),
+      "993bb6e2e93680eab16be1ac8051e874" );
+    ( "faulty leader gradecasts polynomials nobody decoded",
+      (fun () ->
+        let fake =
+          {
+            CG.clique = List.init n Fun.id;
+            polys =
+              List.init n (fun k ->
+                  (k, Array.init (t + 1) (fun d -> F.of_int ((7 * k) + d + 1))));
+          }
+        in
+        CG.run
+          ~adversary:
+            (faulty_only
+               ~as_gradecast_dealer:(Gradecast.Dealer_equivocate (fun _ -> Some fake))
+               [ 0; 6 ])
+          ~prng:(Prng.of_int 15) ~oracle:(leader_zero_oracle 1015) ~n ~t ~m ()),
+      (fun b -> (Option.get b).CG.ba_iterations >= 2),
+      "cece872705b96eefd5ca0ed0d69ca101" );
+  ]
+
+let test_step10_known_answers () =
+  List.iter
+    (fun (name, run_case, exercised, expected) ->
+      let batch = run_case () in
+      Alcotest.(check string) name expected (batch_digest batch);
+      Alcotest.(check bool) (name ^ ": exercises its path") true (exercised batch))
+    known_answer_cases
+
 let suite =
   [
     Alcotest.test_case "other fault bounds" `Quick test_other_fault_bounds;
@@ -243,4 +353,5 @@ let suite =
     Alcotest.test_case "leader index range" `Quick test_leader_index_range;
     Alcotest.test_case "bad dealers excluded" `Quick
       test_bad_dealers_excluded_or_pinned;
+    Alcotest.test_case "step 10 known answers" `Quick test_step10_known_answers;
   ]

@@ -303,6 +303,143 @@ let test_faults_validation () =
   Alcotest.check_raises "range" (Invalid_argument "Faults.make: id out of range")
     (fun () -> ignore (Net.Faults.make ~n:4 ~faulty:[ 4 ]))
 
+(* The sizing rule (Net.observed_size): [byte_size] runs only while a
+   measurement or a trace collector reads the size, once per counted
+   message or announcement. The round below, at n = 7, sends a distinct
+   string from every player to every other player, then announces one
+   string per player on the broadcast channel. *)
+let sizing_n = 7
+let payload src dst = String.make (1 + src + (2 * dst)) 'p'
+let announcement i = String.make (3 + i) 'a'
+
+let sized_round ~calls =
+  let byte_size s =
+    incr calls;
+    String.length s
+  in
+  let net = Net.create ~codec:str_codec ~n:sizing_n ~byte_size () in
+  let inbox =
+    Net.exchange net ~send:(fun () ->
+        for src = 0 to sizing_n - 1 do
+          for dst = 0 to sizing_n - 1 do
+            if src <> dst then Net.send net ~src ~dst (payload src dst)
+          done
+        done)
+  in
+  let heard =
+    Transport.broadcast_round ~codec:str_codec ~byte_size ~n:sizing_n (fun i ->
+        Some (announcement i))
+  in
+  (inbox, heard)
+
+let sizing_messages = (sizing_n * (sizing_n - 1)) + sizing_n
+
+let sizing_bytes =
+  let p2p = ref 0 and ann = ref 0 in
+  for src = 0 to sizing_n - 1 do
+    ann := !ann + String.length (announcement src);
+    for dst = 0 to sizing_n - 1 do
+      if src <> dst then p2p := !p2p + String.length (payload src dst)
+    done
+  done;
+  (!p2p, !ann)
+
+(* Every link fault but corruption, with two retransmits: each of the
+   three attempts re-sends and re-announces everything. *)
+let sizing_plan ?(corrupt = 0.0) () =
+  Net.Plan.make ~drop:0.3 ~delay:0.2 ~duplicate:0.2 ~corrupt ~reorder:0.3
+    ~retransmits:2 ~seed:17 ()
+
+let sizing_attempts = 3
+
+let test_sizing_only_when_observed () =
+  let in_plan plan f = match plan with None -> f () | Some p -> Net.with_plan p f in
+  List.iter
+    (fun (label, plan, attempts) ->
+      let p2p, ann = sizing_bytes in
+      let calls = ref 0 in
+      let inbox, heard = in_plan plan (fun () -> sized_round ~calls) in
+      Alcotest.(check int) (label ^ ": unobserved, never sized") 0 !calls;
+      Alcotest.(check (list (pair int string)))
+        (label ^ ": delivery unaffected")
+        (List.init (sizing_n - 1) (fun k ->
+             let src = if k < 3 then k else k + 1 in
+             (src, payload src 3)))
+        inbox.(3);
+      Alcotest.(check (option string))
+        (label ^ ": announcement unaffected")
+        (Some (announcement 5)) heard.(5);
+      let calls = ref 0 in
+      let _, snap =
+        Metrics.with_counting (fun () -> in_plan plan (fun () -> sized_round ~calls))
+      in
+      Alcotest.(check int) (label ^ ": counted, once per message") (attempts * sizing_messages) !calls;
+      Alcotest.(check int) (label ^ ": messages") (attempts * sizing_messages)
+        snap.Metrics.messages;
+      Alcotest.(check int) (label ^ ": bytes") (attempts * (p2p + ann))
+        snap.Metrics.bytes;
+      let calls = ref 0 in
+      let _, trace = Trace.collect (fun () -> in_plan plan (fun () -> sized_round ~calls)) in
+      Alcotest.(check int) (label ^ ": traced, once per message") (attempts * sizing_messages) !calls;
+      let sent = ref 0 and announced = ref 0 in
+      List.iter
+        (fun (_, e) ->
+          match e with
+          | Trace.Send { bytes; _ } -> sent := !sent + bytes
+          | Trace.Broadcast { bytes; _ } -> announced := !announced + bytes
+          | Trace.Recv { src; dst; bytes } ->
+              Alcotest.(check int) (label ^ ": receive event size")
+                (String.length (payload src dst)) bytes
+          | _ -> ())
+        (Trace.all_events trace);
+      Alcotest.(check int) (label ^ ": send event bytes") (attempts * p2p) !sent;
+      Alcotest.(check int) (label ^ ": broadcast event bytes") (attempts * ann) !announced)
+    [ ("fault-free", None, 1); ("degraded", Some (sizing_plan ()), sizing_attempts) ];
+  (* Corruption: counted figures are unchanged, and a mangled copy is
+     sized only for its receive event, never for the counters. *)
+  let p2p, ann = sizing_bytes in
+  let calls = ref 0 in
+  let _, snap =
+    Metrics.with_counting (fun () ->
+        Net.with_plan (sizing_plan ~corrupt:0.3 ()) (fun () -> sized_round ~calls))
+  in
+  Alcotest.(check int) "corrupting: counted, once per message"
+    (sizing_attempts * sizing_messages) !calls;
+  Alcotest.(check int) "corrupting: messages" (sizing_attempts * sizing_messages)
+    snap.Metrics.messages;
+  Alcotest.(check int) "corrupting: bytes" (sizing_attempts * (p2p + ann))
+    snap.Metrics.bytes;
+  (* A self-message is free: never sized for the counters, sized once
+     for its receive event under a collector. *)
+  let self_round calls =
+    let byte_size s =
+      incr calls;
+      String.length s
+    in
+    let net = Net.create ~n:2 ~byte_size () in
+    Net.send net ~src:1 ~dst:1 "self";
+    ignore (Net.deliver net)
+  in
+  let calls = ref 0 in
+  ignore (Metrics.with_counting (fun () -> self_round calls));
+  Alcotest.(check int) "self-message: counted run never sizes it" 0 !calls;
+  let calls = ref 0 in
+  let (), trace = Trace.collect (fun () -> self_round calls) in
+  Alcotest.(check int) "self-message: traced once" 1 !calls;
+  Alcotest.(check bool) "self-message: receive event carries its size" true
+    (List.exists
+       (function _, Trace.Recv { src = 1; dst = 1; bytes = 4 } -> true | _ -> false)
+       (Trace.all_events trace));
+  (* Sent unobserved, delivered under a collector: the receive event
+     sizes the message itself. *)
+  let net = Net.create ~n:2 ~byte_size:String.length () in
+  Net.send net ~src:0 ~dst:1 "early";
+  let _, trace = Trace.collect (fun () -> Net.deliver net) in
+  Alcotest.(check bool) "sent before tracing: receive event carries its size" true
+    (List.exists
+       (function _, Trace.Recv { src = 0; dst = 1; bytes = 5 } -> true | _ -> false)
+       (Trace.all_events trace))
+
 let suite =
   [
     Alcotest.test_case "delivery order" `Quick test_delivery_order;
@@ -335,4 +472,6 @@ let suite =
     Alcotest.test_case "faults construction" `Quick test_faults_construction;
     Alcotest.test_case "faults random" `Quick test_faults_random;
     Alcotest.test_case "faults validation" `Quick test_faults_validation;
+    Alcotest.test_case "sizing only when observed" `Quick
+      test_sizing_only_when_observed;
   ]

@@ -454,6 +454,44 @@ let test_passive_ledger_bit_identical () =
   Alcotest.(check int) "messages identical" m0.Metrics.messages
     m1.Metrics.messages
 
+(* The draw's tally against the string-keyed one it short-cuts: for
+   every array of 1-16 reconstructions, the same count and the same
+   element. Arrays are unanimous, a random mix of 1-3 distinct values
+   and [None]s (the [None] rate itself random, often zero), or an
+   exact two-way tie. *)
+module Tally_ref = Pool_tally_reference.Make (F)
+
+let prop_tally_matches_reference =
+  QCheck.Test.make ~count:500 ~name:"tally matches the string-keyed tally"
+    QCheck.(triple (int_range 1 16) (int_range 0 2) int)
+    (fun (len, shape, seed) ->
+      let g = Prng.of_int seed in
+      let distinct = 1 + Prng.int g 3 in
+      let pool = Array.make distinct F.zero in
+      Array.iteri
+        (fun i _ ->
+          let rec fresh () =
+            let x = F.random g in
+            if Array.exists (F.equal x) (Array.sub pool 0 i) then fresh ()
+            else x
+          in
+          pool.(i) <- fresh ())
+        pool;
+      let none_rate = if Prng.bool g then 0 else Prng.int g 50 in
+      let values =
+        Array.init len (fun i ->
+            match shape with
+            | 0 -> Some pool.(0)
+            | 1 ->
+                if Prng.int g 100 < none_rate then None
+                else Some pool.(Prng.int g distinct)
+            | _ -> Some pool.(i mod min 2 distinct))
+      in
+      match (PL.tally values, Tally_ref.tally values) with
+      | None, None -> true
+      | Some (c, x), Some (c', x') -> c = c' && F.equal x x'
+      | Some _, None | None, Some _ -> false)
+
 let suite =
   [
     Alcotest.test_case "bootstrap sustains draws" `Quick
@@ -483,4 +521,8 @@ let suite =
       test_refresh_failure_restores_stock;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false)
-      [ prop_conservation; prop_available_matches_model ]
+      [
+        prop_conservation;
+        prop_available_matches_model;
+        prop_tally_matches_reference;
+      ]
