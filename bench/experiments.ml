@@ -644,10 +644,11 @@ let time_mults (type a) (module F : Field_intf.S with type t = a) =
 let field_crossover ~quick =
   ignore quick;
   (* The naive rows time the shift-and-xor / schoolbook reference
-     explicitly: [Gf2k.Make.mul] runs off exp/log tables up to k = 16
-     and a branch-free word loop above, and [Gf2_wide.mul] dispatches to
-     Karatsuba above the limb threshold; either would silently turn a
-     paper-baseline row into the production path. *)
+     explicitly: [Gf2k.Make.mul] runs off exp/log tables up to k = 16,
+     the carry-less product up to 32 and a branch-free word loop above,
+     and [Gf2_wide.mul] dispatches to Karatsuba above the limb
+     threshold; either would silently turn a paper-baseline row into the
+     production path. *)
   let time_naive (module K : Gf2k.S) = time_mul K.random_nonzero K.mul_naive in
   let time_schoolbook (module W : Wide_field) =
     time_mul W.random_nonzero W.mul_schoolbook
@@ -670,15 +671,15 @@ let field_crossover ~quick =
     ]
   in
   (* Production rows (optimizations, not the paper's baseline): the
-     same fields' [mul] — tabled at k = 16, the word loop at 32 and 61,
-     Karatsuba on the wide words. *)
+     same fields' [mul] — tabled at k = 16, the carry-less product at 32,
+     the word loop at 61, Karatsuba on the wide words. *)
   let time_karatsuba (module W : Wide_field) =
     time_mul ~seed:13132 W.random_nonzero W.mul_karatsuba
   in
   let production =
     [
       ("tabled GF(2^16)", 16, time_mults (module Gf2k.GF16));
-      ("word GF(2^32)", 32, time_mults (module Gf2k.GF32));
+      ("carry-less GF(2^32)", 32, time_mults (module Gf2k.GF32));
       ("word GF(2^61)", 61, time_mults (module Gf2k.GF61));
       ("karatsuba GF(2^128)", 128, time_karatsuba (module Gf2_wide.GF128));
       ("karatsuba GF(2^256)", 256, time_karatsuba (module Gf2_wide.GF256));

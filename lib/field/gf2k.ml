@@ -5,14 +5,19 @@
    multiplication loop below, which shifts the multiplicand one past the
    top bit of the modulus before reducing.
 
-   For k <= 16 multiplication additionally runs off exp/log tables over
-   the (cyclic) multiplicative group, mirroring the Zq_table trick: one
-   table lookup replaces the k-step shift-and-xor loop. Above that,
-   [Make] multiplies with [mul_word], a branch-free shift-and-xor over
-   the operand with fewer bits. The naive loop is kept as the reference
-   implementation ([mul_naive], and the whole backend as
-   [Make_untabled]) so equivalence stays testable and the paper's
-   naive-multiplication baseline stays measurable. *)
+   [Make] multiplies in one of three regimes:
+   - k <= 16: exp/log tables over the (cyclic) multiplicative group,
+     mirroring the Zq_table trick; one lookup replaces the k-step loop.
+   - 17 <= k <= 32: [clmul32], a carry-less product out of 16 integer
+     multiplies, then two folds of the modulus's sparse low part. No
+     branch and no loop, so the cost does not depend on the operands.
+   - 33 <= k <= 61: [mul_word], a branch-free shift-and-xor over the
+     operand with fewer bits; the 2k - 1 bit product no longer fits a
+     63-bit int, so the reduction must be interleaved.
+   The naive loop is kept as the reference implementation ([mul_naive],
+   and the whole backend as [Make_untabled]) so equivalence stays
+   testable and the paper's naive-multiplication baseline stays
+   measurable. *)
 
 (* Binary search over the 63-bit word in six halvings: [inv]'s Euclid
    loop calls this at every step. *)
@@ -60,6 +65,53 @@ let mul_word ~k ~modulus a b =
     a := !a lsr 1
   done;
   !acc
+
+(* The unreduced carry-less product of two operands below 2^32; its
+   degree is at most 62, so it fills the 63-bit int exactly. Each
+   operand splits into four bit classes, 4 bits apart. The integer
+   product of class i of [a] and class j of [b] holds, at each bit p of
+   class i + j (mod 4), the number of pairs of set bits meeting there:
+   at most 8 (the bits of class i below 2^32), so each count stays in
+   its nibble, and bit p is its parity. Integer products wrap modulo
+   2^63, which keeps those low 63 bits exact. *)
+let clmul32 a b =
+  let a0 = a land 0x1111_1111 and a1 = a land 0x2222_2222 in
+  let a2 = a land 0x4444_4444 and a3 = a land 0x8888_8888 in
+  let b0 = b land 0x1111_1111 and b1 = b land 0x2222_2222 in
+  let b2 = b land 0x4444_4444 and b3 = b land 0x8888_8888 in
+  let z0 = (a0 * b0) lxor (a1 * b3) lxor (a2 * b2) lxor (a3 * b1) in
+  let z1 = (a0 * b1) lxor (a1 * b0) lxor (a2 * b3) lxor (a3 * b2) in
+  let z2 = (a0 * b2) lxor (a1 * b1) lxor (a2 * b0) lxor (a3 * b3) in
+  let z3 = (a0 * b3) lxor (a1 * b2) lxor (a2 * b1) lxor (a3 * b0) in
+  z0 land 0x1111_1111_1111_1111
+  lor (z1 land 0x2222_2222_2222_2222)
+  lor (z2 land 0x4444_4444_4444_4444)
+  lor (z3 land 0x0888_8888_8888_8888)
+
+(* For a modulus x^k + r with r = 1 + x^s1 + x^s2 + x^s3, x^k = r, so
+   the bits of [z] from k up fold down as their product with r. A
+   trinomial x^k + x^s + 1 passes (s, s, s): two of the three copies
+   cancel under xor. *)
+let fold ~k ~s1 ~s2 ~s3 z =
+  let h = z lsr k in
+  let h_r = h lxor (h lsl s1) lxor (h lsl s2) lxor (h lsl s3) in
+  z land ((1 lsl k) - 1) lxor h_r
+
+(* The fold shifts of a modulus of degree [k]. [clmul32]'s product has
+   degree <= 2k - 2, so one fold leaves degree <= k - 2 + deg r and a
+   second leaves degree <= 2 deg r - 2, below k whenever deg r <= 7
+   (k >= 17). Every k in 17..32 has a trinomial or pentanomial
+   [smallest_irreducible] of that shape; anything else is refused at
+   instantiation rather than silently multiplied wrong. *)
+let fold_shifts ~k modulus =
+  let r = modulus lxor (1 lsl k) in
+  match List.filter (fun i -> r land (1 lsl i) <> 0) (List.init k Fun.id) with
+  | [ 0; s ] when s <= 7 -> (s, s, s)
+  | [ 0; s1; s2; s3 ] when s3 <= 7 -> (s1, s2, s3)
+  | _ ->
+      invalid_arg
+        (Printf.sprintf "Gf2k.Make: no two-fold reduction for modulus 0x%x"
+           modulus)
 
 let poly_mod a b =
   assert (b <> 0);
@@ -214,6 +266,12 @@ module Make_gen (P : PARAM) (T : sig val want_tables : bool end) = struct
   let mul =
     match tables with
     | None when not T.want_tables -> mul_naive
+    | None when P.k <= 32 ->
+        let s1, s2, s3 = fold_shifts ~k:P.k modulus in
+        fun a b ->
+          Metrics.tick_mults 1;
+          let z = fold ~k:P.k ~s1 ~s2 ~s3 (clmul32 a b) in
+          fold ~k:P.k ~s1 ~s2 ~s3 z
     | None ->
         fun a b ->
           Metrics.tick_mults 1;

@@ -2,15 +2,23 @@
 
     This is the paper's default field (Section 2): elements are degree
     [< k] polynomials over [GF(2)] packed into the low [k] bits of an
-    [int]; multiplication is the naive shift-and-xor schoolbook method,
-    i.e. [O(k)] word operations realizing the [O(k^2)] bit-operation
-    bound the paper quotes for naive multiplication. {!Make} runs it off
-    exp/log tables up to [k = 16] and, above that, as a branch-free loop
-    over the operand with fewer significant bits; {!S.mul_naive} and
-    {!Make_untabled} keep the plain loop as the reference. The paper remarks
-    that for small [k] this beats the asymptotically faster special field
-    — experiment E13 measures exactly that crossover against
-    {!Fft_field}.
+    [int]; the reference multiplication is the naive shift-and-xor
+    schoolbook method, i.e. [O(k)] word operations realizing the
+    [O(k^2)] bit-operation bound the paper quotes for naive
+    multiplication. The paper remarks that at small [k] the constants of
+    the method decide the cost, so {!Make} picks one of three by [k]:
+    - [k <= 16]: exp/log tables, one lookup per product;
+    - [17 <= k <= 32]: a carry-less product built from 16 integer
+      multiplies of masked bit classes, then two folds of the sparse
+      modulus. It has no branch and no loop, so its running time does
+      not depend on the operands;
+    - [33 <= k <= 61]: a branch-free shift-and-xor loop over the operand
+      with fewer significant bits, because the unreduced product no
+      longer fits a word.
+
+    {!S.mul_naive} and {!Make_untabled} keep the plain loop as the
+    reference. Experiment E13 measures these constants against the
+    asymptotically faster {!Fft_field}.
 
     The reduction polynomial is found at functor-application time: the
     lexicographically smallest irreducible polynomial of degree [k] over
@@ -23,10 +31,10 @@ end
 
 val table_threshold : int
 (** Largest [k] (16) for which {!Make} builds exp/log multiplication
-    tables. Beyond it {!Make} multiplies with a branch-free shift-and-xor
-    loop whose step count is the bit length of the smaller operand (so
-    at most 4 steps against a player point at [n <= 15]); {!S.mul_naive}
-    remains the reference loop. *)
+    tables. Beyond it {!Make} multiplies without tables: up to [k = 32]
+    with the constant-time carry-less product, above that with the
+    shift-and-xor loop whose step count is the bit length of the smaller
+    operand. {!S.mul_naive} remains the reference loop. *)
 
 module type S = sig
   include Field_intf.S
@@ -55,9 +63,12 @@ module Make (P : PARAM) : S
 (** Tabled multiplication when [P.k <= table_threshold]: [mul a b] is
     [exp.(log a + log b)] over a doubled exp table of the cyclic
     multiplicative group (the {!Zq_table} trick), with [inv] a single
-    lookup too. Above the threshold [mul] is the branch-free word loop
-    and [inv] extended Euclid. Each operation still ticks exactly one
-    mult/inv. *)
+    lookup too. Above the threshold [inv] is extended Euclid and [mul]
+    is the carry-less product for [P.k <= 32], the word loop above.
+    The carry-less product relies on the modulus [x^k + r] having [r]
+    of degree [<= 7] with two or four terms, which holds for every [k]
+    in [17..32] and is checked at instantiation. Each operation still
+    ticks exactly one mult/inv. *)
 
 module Make_untabled (P : PARAM) : S
 (** Identical field, always on the naive shift-and-xor path — the

@@ -1,8 +1,9 @@
 (* Equivalence of the precomputed evaluation-grid kernels (lib/kernel)
    with the naive Poly/Shamir paths they replace, across every field
-   backend, plus tabled-vs-naive Gf2k multiplication over the full
-   domain for k <= 12. Fields are exact, so the kernels must agree
-   bit-for-bit, not approximately. *)
+   backend, plus each Gf2k multiplication regime against the naive
+   reference: tables over the full domain for k <= 12, the carry-less
+   product at every k in 17..32, the word loop above. Fields are exact,
+   so the kernels must agree bit-for-bit, not approximately. *)
 
 module Check (F : Field_intf.S) (Tag : sig val tag : string end) = struct
   module S = Shamir.Make (F)
@@ -254,11 +255,13 @@ let test_tabled_mul_ticks () =
   let _, ti = Metrics.with_counting (fun () -> M.inv a) in
   Alcotest.(check int) "tabled inv ticks one inv" 1 ti.Metrics.field_invs
 
-(* Above the table threshold [mul] is the branch-free word loop: it
-   must agree with the shift-and-xor reference at every width it meets
-   (either side of the 32-bit boundary, and the 61-bit maximum), on
-   random pairs and on the extreme operands 0, 1, 2^(k-1) and 2^k - 1;
-   [inv] must agree with Fermat's a^(2^k - 2). *)
+(* Above the table threshold [mul] is the carry-less product up to
+   k = 32 and the word loop beyond: it must agree with the shift-and-xor
+   reference at every carry-less width (each of their trinomial and
+   pentanomial moduli) and on either side of the word loop's range, on
+   random pairs and on the extreme operands 0, 1, 2^(k-1) and 2^k - 1,
+   and tick one mult and no add like the reference; [inv] must agree
+   with Fermat's a^(2^k - 2). *)
 let test_word_mul_matches_naive () =
   List.iter
     (fun k ->
@@ -278,13 +281,74 @@ let test_word_mul_matches_naive () =
       for _ = 1 to 20_000 do
         agree (M.random g) (M.random g)
       done;
+      let a = M.random g and b = M.random g in
+      let _, c = Metrics.with_counting (fun () -> M.mul a b) in
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "k=%d mul ticks (mults, adds)" k)
+        (1, 0)
+        (c.Metrics.field_mults, c.Metrics.field_adds);
       List.iter
         (fun a ->
           if not (M.equal a M.zero) then
             if not (M.equal (M.inv a) (M.pow a ((1 lsl k) - 2))) then
               Alcotest.failf "k=%d: inv %s <> a^(2^k-2)" k (M.to_string a))
         operands)
-    [ 17; 31; 32; 33; 61 ]
+    (List.init 16 (fun i -> 17 + i) @ [ 33; 61 ])
+
+(* The carry-less product reduces x^k + r in two folds; the second
+   matters only when the first leaves bits at k or above, i.e. when the
+   high half h of the unreduced product has deg h + deg r >= k. Operands
+   with their top bits set make that common; each width whose modulus
+   can spill (deg r >= 2) must meet at least 100 such pairs, and every
+   pair must agree with the reference. *)
+let test_clmul_second_fold () =
+  let clmul a b =
+    let acc = ref 0 in
+    for i = 0 to 31 do
+      if a land (1 lsl i) <> 0 then acc := !acc lxor (b lsl i)
+    done;
+    !acc
+  in
+  for k = 17 to 32 do
+    let module M = Gf2k.Make (struct let k = k end) in
+    let deg_r = Gf2k.degree (M.modulus lxor (1 lsl k)) in
+    let spills a b = Gf2k.degree (clmul a b lsr k) + deg_r >= k in
+    let top = (1 lsl k) - 1 and half = 1 lsl (k - 1) in
+    let g = Prng.of_int (1700 + k) in
+    let high () = Prng.bits g k lor (top lxor (top lsr 3)) in
+    let pairs =
+      [ (top, top); (half, half); (half, top) ]
+      @ List.init 2_000 (fun _ -> (high (), high ()))
+    in
+    let spilled = ref 0 in
+    List.iter
+      (fun (a, b) ->
+        if spills a b then incr spilled;
+        let x = M.of_repr a and y = M.of_repr b in
+        if not (M.equal (M.mul x y) (M.mul_naive x y)) then
+          Alcotest.failf "k=%d: mul 0x%x 0x%x diverges from naive" k a b)
+      pairs;
+    if deg_r >= 2 && !spilled < 100 then
+      Alcotest.failf "k=%d: only %d pairs reach the second fold" k !spilled
+  done
+
+(* [Make] refuses at instantiation a modulus its multiply cannot
+   reduce; every supported k must instantiate, tabled exactly up to
+   the threshold, with [mul] agreeing with the reference. *)
+let test_make_every_k () =
+  for k = 1 to 61 do
+    let module M = Gf2k.Make (struct let k = k end) in
+    Alcotest.(check bool)
+      (Printf.sprintf "k=%d tabled" k)
+      (k <= Gf2k.table_threshold) M.tabled;
+    let g = Prng.of_int (6100 + k) in
+    for _ = 1 to 200 do
+      let a = M.random g and b = M.random g in
+      if not (M.equal (M.mul a b) (M.mul_naive a b)) then
+        Alcotest.failf "k=%d: mul %s %s diverges from naive" k
+          (M.to_string a) (M.to_string b)
+    done
+  done
 
 (* [Gf2k.degree] is a binary search; a scan down from bit 62 is its
    reference, over random words of every length and both signs. *)
@@ -319,6 +383,10 @@ let suite =
         test_tabled_mul_ticks;
       Alcotest.test_case "word mul = naive mul, inv = a^(2^k-2) (k>16)" `Quick
         test_word_mul_matches_naive;
+      Alcotest.test_case "carry-less mul = naive mul past the second fold"
+        `Quick test_clmul_second_fold;
+      Alcotest.test_case "Make instantiates every k in 1..61" `Quick
+        test_make_every_k;
       Alcotest.test_case "degree = scan from bit 62" `Quick
         test_degree_matches_scan;
     ]
