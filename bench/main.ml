@@ -42,14 +42,14 @@ module V32 = Vss.Make (F32)
 module V16 = Vss.Make (F16)
 module CC16 = Cut_and_choose_vss.Make (F16)
 module BG32 = Bit_gen.Make (F32)
-module CG16 = Coin_gen.Make (F16)
-module CE16 = Coin_expose.Make (F16)
-module Pool16 = Pool.Make (F16)
+module CG32 = Coin_gen.Make (F32)
+module CE32 = Coin_expose.Make (F32)
+module Pool32 = Pool.Make (F32)
 module CB16 = Coin_baselines.Make (F16)
 
 let ideal_oracle seed =
   let g = Prng.of_int seed in
-  fun () -> Metrics.without_counting (fun () -> F16.random g)
+  fun () -> Metrics.without_counting (fun () -> F32.random g)
 
 (* --- bechamel kernels: one per experiment table ------------------- *)
 
@@ -88,7 +88,7 @@ let kernel_e9_coin_gen () =
   let oracle = ideal_oracle 55 in
   let n = 13 and t = 2 and m = 16 in
   fun () ->
-    match CG16.run ~prng ~oracle ~n ~t ~m () with
+    match CG32.run ~prng ~oracle ~n ~t ~m () with
     | Some _ -> ()
     | None -> failwith "Coin-Gen failed"
 
@@ -113,16 +113,16 @@ let kernel_e11_from_scratch_coin () =
 
 let kernel_e12_pool_draw () =
   let pool =
-    Pool16.create ~prng:(Prng.of_int 9) ~n:13 ~t:2 ~batch_size:64
+    Pool32.create ~prng:(Prng.of_int 9) ~n:13 ~t:2 ~batch_size:64
       ~refill_threshold:3 ~initial_seed:6 ()
   in
-  fun () -> ignore (Pool16.draw_kary pool)
+  fun () -> ignore (Pool32.draw_kary pool)
 
 let kernel_e14_coin_expose () =
-  let module C16 = Sealed_coin.Make (F16) in
+  let module C32 = Sealed_coin.Make (F32) in
   let g = Prng.of_int 10 in
-  let coin = C16.dealer_coin g ~n:13 ~t:2 in
-  fun () -> ignore (CE16.run coin)
+  let coin = C32.dealer_coin g ~n:13 ~t:2 in
+  fun () -> ignore (CE32.run coin)
 
 let kernel_field mul random =
   let g = Prng.of_int 11 in

@@ -15,7 +15,8 @@ module Make (F : Field_intf.S) = struct
   let elt_byte_size _ = F.byte_size
 
   (* The single communication round both decoders share: everyone sends
-     its share of the coin to everyone. *)
+     its share of the coin to everyone. On a pristine [Sim] net the round
+     is read in place ({!Transport.Inbox}); otherwise it holds lists. *)
   let send_round ?(sender_behavior = fun _ -> Honest) (coin : C.t) =
     let n = coin.C.n in
     let net =
@@ -24,7 +25,7 @@ module Make (F : Field_intf.S) = struct
         ~n ~byte_size:elt_byte_size ()
     in
     let inbox =
-      Transport.exchange net ~send:(fun () ->
+      Transport.exchange_inbox net ~send:(fun () ->
           for i = 0 to n - 1 do
             match sender_behavior i with
             | Honest -> Transport.send_to_all net ~src:i (fun _ -> coin.C.shares.(i))
@@ -70,7 +71,7 @@ module Make (F : Field_intf.S) = struct
         | None -> true
         | Some p -> Transport.Plan.retransmits p >= 1
       in
-      let miss_votes = Transport.absent_counts ~unique_senders ~n inbox in
+      let miss_votes = Transport.Inbox.absent_counts ~unique_senders ~n inbox in
       for j = n - 1 downto 0 do
         if miss_votes.(j) >= t + 1 then acc := (j, Sentinel.Silent) :: !acc;
         if bad_votes.(j) >= t + 1 then acc := (j, Sentinel.Bad_share) :: !acc
@@ -93,11 +94,12 @@ module Make (F : Field_intf.S) = struct
     let plan = S.grid ~n ~t in
     let excl = Sentinel.exclusion_mask ~n in
     let net, inbox = send_round ?sender_behavior coin in
+    let lists = Transport.Inbox.to_lists inbox in
     (* How many players decoded sender j's share as an error. *)
     let bad_votes = Array.make n 0 in
     let results =
       Array.init n (fun i ->
-          let points = trusted_points coin i inbox.(i) ~excl in
+          let points = trusted_points coin i lists.(i) ~excl in
           let m = List.length points in
           (* Degree-t reconstruction needs m >= t + 1 points; note
              (m - t - 1) / 2 truncates toward zero, so at m = t it is 0,
@@ -155,10 +157,11 @@ module Make (F : Field_intf.S) = struct
   (* The steady-state exposure path. Identical values, ticks, traces and
      draws as [run_reference]; the differences are purely allocation and
      control flow:
-     - trusted points are gathered into two flat scratch arrays and fed
-       to the plan's arena reconstruction
-       ([Grid.reconstruct_zero_checked_into]) — no intermediate list, no
-       sort closures on the fault-free path;
+     - trusted points are gathered straight from the round (the net's
+       store on a pristine net) into two flat scratch arrays and fed to
+       the plan's arena reconstruction
+       ([Grid.reconstruct_zero_checked_into]) — no inbox list, no
+       intermediate list, no sort closures on the fault-free path;
      - attribution bookkeeping (the [bad_votes] tally and the evidence
        list) is built only when a ledger is installed
        ([Sentinel.is_active]); without one those votes were dropped
@@ -171,32 +174,31 @@ module Make (F : Field_intf.S) = struct
     let net, inbox = send_round ?sender_behavior coin in
     let active = Sentinel.is_active () in
     let bad_votes = if active then Array.make n 0 else [||] in
-    let ids = Array.make n 0 and ys = Array.make n F.zero in
+    (* A duplicating fault plan can deliver more than n messages to one
+       player (such inboxes carry duplicate ids and end up in the
+       Berlekamp-Welch cold path), so the shared scratch is sized to the
+       longest inbox: n on a pristine net. *)
+    let cap = max n (Transport.Inbox.max_length inbox) in
+    let ids = Array.make cap 0 and ys = Array.make cap F.zero in
+    (* The one gather loop: player [!dst]'s trusted, unquarantined shares
+       in inbox order, straight from the net's store on a pristine round.
+       Built once per exposure, not per player. *)
+    let dst = ref 0 in
+    let gather j v len =
+      if C.trusted_row coin !dst j && not excl.(j) then begin
+        ids.(len) <- j;
+        ys.(len) <- v;
+        len + 1
+      end
+      else len
+    in
     (* Event thunks allocate even when no collector is installed; the
        draw loop emits two per player, so hoist the enabled check. *)
     let traced = Trace.enabled () in
     let results =
       Array.init n (fun i ->
-          (* A duplicating fault plan can deliver more than n messages to
-             one player; the shared n-sized scratch only serves the
-             normal case, so fall back to a fresh pair when oversized
-             (such inboxes carry duplicate ids and end up in the
-             Berlekamp-Welch cold path anyway). *)
-          let cap = List.length inbox.(i) in
-          let ids, ys =
-            if cap <= n then (ids, ys)
-            else (Array.make cap 0, Array.make cap F.zero)
-          in
-          let len = ref 0 in
-          List.iter
-            (fun (j, v) ->
-              if C.trusted_row coin i j && not excl.(j) then begin
-                ids.(!len) <- j;
-                ys.(!len) <- v;
-                incr len
-              end)
-            inbox.(i);
-          let m = !len in
+          dst := i;
+          let m = Transport.Inbox.fold inbox ~dst:i gather 0 in
           (* Degree-t reconstruction needs m >= t + 1 points; note
              (m - t - 1) / 2 truncates toward zero, so at m = t it is 0,
              not negative — guard on m, not on e. *)
@@ -261,8 +263,9 @@ module Make (F : Field_intf.S) = struct
     let plan = S.grid ~n ~t in
     let excl = Sentinel.exclusion_mask ~n in
     let _net, inbox = send_round ?sender_behavior coin in
+    let lists = Transport.Inbox.to_lists inbox in
     Array.init n (fun i ->
-        let points = trusted_points coin i inbox.(i) ~excl in
+        let points = trusted_points coin i lists.(i) ~excl in
         let rec take k = function
           | [] -> []
           | _ when k = 0 -> []

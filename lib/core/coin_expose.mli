@@ -32,12 +32,14 @@ module Make (F : Field_intf.S) : sig
       (impossible for honest players when the coin's trust guarantee
       holds).
 
-      This is the steady-state path: trusted shares are gathered into
-      flat scratch arrays and reconstructed through the plan's arena
+      This is the steady-state path: on a pristine [Sim] net the round
+      is read in place from the net's store ({!Transport.Inbox}), trusted
+      shares are gathered into flat scratch arrays by one loop for every
+      backend and reconstructed through the plan's arena
       ({!Grid.Make.reconstruct_zero_checked_into}), and attribution
-      bookkeeping is built only when a {!Sentinel} ledger is installed —
-      the fault-free draw loop allocates O(1) minor words beyond the
-      transport round itself. *)
+      bookkeeping is built only when a {!Sentinel} ledger is installed.
+      An honest, untraced exposure at [n = 13] allocates about 650 minor
+      words, most of them the net's [n^2] store. *)
 
   val run_reference :
     ?sender_behavior:(int -> sender_behavior) ->

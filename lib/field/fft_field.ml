@@ -288,6 +288,8 @@ module Make (P : PARAM) = struct
             done;
           out
         end)
+
+  let dot = None
 end
 
 module GF_k64 = Make (struct let k = 64 end)

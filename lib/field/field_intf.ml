@@ -93,4 +93,12 @@ module type S = sig
       the Horner path would have made) in bulk, keeping the paper's
       cost-model parity. [None] means the field has no fast kernel and
       callers fall back to per-point Horner. *)
+
+  val dot : (t array -> t array -> int -> t) option
+  (** Optional dot-product kernel beside {!batch_eval}. When [Some dot],
+      [dot a b len] is [a.(0) b.(0) + ... + a.(len - 1) b.(len - 1)]
+      ({!zero} at [len = 0]), bit-identical to accumulating {!mul}
+      products with {!add} from {!zero}. It performs no {!Metrics} ticks:
+      callers tick [len] mults and [len] adds in bulk, what that loop
+      ticks. [None] means callers run the loop. *)
 end

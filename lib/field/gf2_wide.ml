@@ -529,6 +529,8 @@ module Make (P : PARAM) = struct
           c0 := !c0 + cnt
         done;
         out)
+
+  let dot = None
 end
 
 module GF64 = Make (struct let k = 64 end)

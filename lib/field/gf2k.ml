@@ -392,6 +392,27 @@ module Make_gen (P : PARAM) (T : sig val want_tables : bool end) = struct
                   done;
                 row)
               css)
+
+  (* Dot-product kernel for the carry-less regime, raw like
+     [batch_eval]: no ticks, the caller ticks the loop's mults and adds
+     in bulk. The products are xor-ed unreduced and folded once:
+     carry-less multiplication is linear over GF(2), so the reduction of
+     the sum is the sum of the reductions, and a sum of products of
+     degree <= 2k - 2 keeps that degree, within the two folds' reach.
+     The tabled and word regimes, and [Make_untabled], keep the ticked
+     loop. *)
+  let dot =
+    match tables with
+    | None when T.want_tables && P.k <= 32 ->
+        let s1, s2, s3 = fold_shifts ~k:P.k modulus in
+        Some
+          (fun a b len ->
+            let z = ref 0 in
+            for j = 0 to len - 1 do
+              z := !z lxor clmul32 a.(j) b.(j)
+            done;
+            fold ~k:P.k ~s1 ~s2 ~s3 (fold ~k:P.k ~s1 ~s2 ~s3 !z))
+    | _ -> None
 end
 
 module Make (P : PARAM) = Make_gen (P) (struct let want_tables = true end)

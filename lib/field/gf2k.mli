@@ -68,11 +68,16 @@ module Make (P : PARAM) : S
     The carry-less product relies on the modulus [x^k + r] having [r]
     of degree [<= 7] with two or four terms, which holds for every [k]
     in [17..32] and is checked at instantiation. Each operation still
-    ticks exactly one mult/inv. *)
+    ticks exactly one mult/inv. For [17 <= k <= 32] the
+    {!Field_intf.S.dot} kernel sums products raw, as the xor of the
+    unreduced carry-less products folded once (carry-less
+    multiplication is linear, so one reduction of the sum equals the
+    sum of the reductions); the other regimes have no [dot] kernel. *)
 
 module Make_untabled (P : PARAM) : S
 (** Identical field, always on the naive shift-and-xor path — the
-    pre-optimization baseline, kept instantiable for benchmarks. *)
+    pre-optimization baseline, kept instantiable for benchmarks. It has
+    no [dot] kernel. *)
 
 (** {1 Ready-made instances} *)
 

@@ -177,6 +177,7 @@ module Make (P : PARAM) = struct
      (and the bench's "naive" twin), so batch dealing falls back to
      per-point Horner. *)
   let batch_eval = None
+  let dot = None
   let primitive_root = find_primitive_root P.p
   let pow_mod b e = pow_mod P.p b e
 end

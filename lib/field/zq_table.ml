@@ -233,4 +233,5 @@ module Make (P : PARAM) = struct
   (* Elements are canonical residues, so the raw table kernel is
      directly the field kernel. *)
   let batch_eval = Some (fun css xs -> Tables.eval_batch tables css xs)
+  let dot = None
 end

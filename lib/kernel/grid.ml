@@ -34,6 +34,33 @@ module Make (F : Field_intf.S) = struct
   let degree_bound plan = plan.deg
   let point plan i = plan.xs.(i)
 
+  (* The fixed-row product of every check and reconstruction below:
+     sum_{j < len} a.(j) b.(j). With a field kernel
+     ({!Field_intf.S.dot}) the sum is formed raw and the loop's ticks
+     (len mults, len adds) are paid in bulk; otherwise it is that
+     loop. *)
+  let dot a b len =
+    match F.dot with
+    | Some kernel ->
+        Metrics.tick_mults len;
+        Metrics.tick_adds len;
+        kernel a b len
+    | None ->
+        let acc = ref F.zero in
+        for j = 0 to len - 1 do
+          acc := F.add !acc (F.mul a.(j) b.(j))
+        done;
+        !acc
+
+  (* Do [ys.(b + r)] equal [rows.(r)] dotted with the first b values,
+     for every r < count? Stops at the first row that disagrees. *)
+  let rows_fit rows ys b count =
+    let r = ref 0 in
+    while !r < count && F.equal (dot rows.(!r) ys b) ys.(b + !r) do
+      incr r
+    done;
+    !r = count
+
   (* Inverses of the Lagrange denominators prod_{m<>j} (bs.(j) - bs.(m))
      over base points [bs]. *)
   let inv_denoms bs =
@@ -175,31 +202,13 @@ module Make (F : Field_intf.S) = struct
       invalid_arg "Grid.fits: expected one value per grid point";
     Metrics.tick_interpolation ();
     let b = plan.deg + 1 in
-    let ok = ref true in
-    let r = ref 0 in
-    while !ok && !r < plan.n - b do
-      let row = plan.ext.(!r) in
-      let acc = ref F.zero in
-      for j = 0 to b - 1 do
-        acc := F.add !acc (F.mul row.(j) values.(j))
-      done;
-      if not (F.equal !acc values.(b + !r)) then ok := false;
-      incr r
-    done;
-    !ok
+    rows_fit plan.ext values b (plan.n - b)
 
   let interpolate_checked plan values =
     if not (fits plan values) then None
     else
       let b = plan.deg + 1 in
-      Some
-        (Array.init b (fun d ->
-             let row = plan.ivand.(d) in
-             let acc = ref F.zero in
-             for j = 0 to b - 1 do
-               acc := F.add !acc (F.mul row.(j) values.(j))
-             done;
-             !acc))
+      Some (Array.init b (fun d -> dot plan.ivand.(d) values b))
 
   (* ---- subsets -------------------------------------------------- *)
 
@@ -272,27 +281,16 @@ module Make (F : Field_intf.S) = struct
             Hashtbl.replace plan.exts key rows;
             rows)
 
+  (* The values of sorted points, as the array [dot] reads. *)
+  let values_of ps =
+    let ys = Array.make (List.length ps) F.zero in
+    List.iteri (fun i (_, y) -> ys.(i) <- y) ps;
+    ys
+
   let fits_sorted plan ps =
     let b = plan.deg + 1 in
     let s = List.length ps in
-    if s <= b then true
-    else begin
-      let ids = List.map fst ps in
-      let rows = ext_for plan ids in
-      let ys = Array.of_list (List.map snd ps) in
-      let ok = ref true in
-      let r = ref 0 in
-      while !ok && !r < s - b do
-        let row = (rows : F.t array array).(!r) in
-        let acc = ref F.zero in
-        for j = 0 to b - 1 do
-          acc := F.add !acc (F.mul row.(j) ys.(j))
-        done;
-        if not (F.equal !acc ys.(b + !r)) then ok := false;
-        incr r
-      done;
-      !ok
-    end
+    s <= b || rows_fit (ext_for plan (List.map fst ps)) (values_of ps) b (s - b)
 
   let fits_on plan points =
     let ps = sort_points plan points in
@@ -300,11 +298,8 @@ module Make (F : Field_intf.S) = struct
     fits_sorted plan ps
 
   let reconstruct_sorted plan ps =
-    let ids = List.map fst ps in
-    let w = weights_for plan ids in
-    let acc = ref F.zero in
-    List.iteri (fun idx (_, y) -> acc := F.add !acc (F.mul w.(idx) y)) ps;
-    !acc
+    let w = weights_for plan (List.map fst ps) in
+    dot w (values_of ps) (Array.length w)
 
   let reconstruct_zero plan points =
     let ps = sort_points plan points in
@@ -440,18 +435,7 @@ module Make (F : Field_intf.S) = struct
     in
     if full then begin
       let b = plan.deg + 1 in
-      let ok = ref true in
-      let r = ref 0 in
-      while !ok && !r < len - b do
-        let row = plan.ext.(!r) in
-        let acc = ref F.zero in
-        for j = 0 to b - 1 do
-          acc := F.add !acc (F.mul row.(j) ys.(j))
-        done;
-        if not (F.equal !acc ys.(b + !r)) then ok := false;
-        incr r
-      done;
-      if not !ok then None
+      if not (rows_fit plan.ext ys b (len - b)) then None
       else begin
         let w =
           match plan.full_w0 with
@@ -461,11 +445,7 @@ module Make (F : Field_intf.S) = struct
               plan.full_w0 <- Some w;
               w
         in
-        let acc = ref F.zero in
-        for i = 0 to b - 1 do
-          acc := F.add !acc (F.mul w.(i) ys.(i))
-        done;
-        Some !acc
+        Some (dot w ys b)
       end
     end
     else begin
@@ -498,32 +478,10 @@ module Make (F : Field_intf.S) = struct
     if !dup || len < b then None
     else begin
       let ok =
-        if len <= b then true
-        else begin
-          let rows = ext_for_arr plan sc_ids len in
-          let ok = ref true in
-          let r = ref 0 in
-          while !ok && !r < len - b do
-            let row = rows.(!r) in
-            let acc = ref F.zero in
-            for j = 0 to b - 1 do
-              acc := F.add !acc (F.mul row.(j) sc_ys.(j))
-            done;
-            if not (F.equal !acc sc_ys.(b + !r)) then ok := false;
-            incr r
-          done;
-          !ok
-        end
+        len <= b || rows_fit (ext_for_arr plan sc_ids len) sc_ys b (len - b)
       in
       if not ok then None
-      else begin
-        let w = weights_for_arr plan sc_ids b in
-        let acc = ref F.zero in
-        for i = 0 to b - 1 do
-          acc := F.add !acc (F.mul w.(i) sc_ys.(i))
-        done;
-        Some !acc
-      end
+      else Some (dot (weights_for_arr plan sc_ids b) sc_ys b)
     end
     end
     end

@@ -53,6 +53,15 @@ module Make (F : Field_intf.S) : sig
   val point : t -> int -> F.t
   (** [point plan i = F.of_int (i + 1)], read from the plan. *)
 
+  val dot : F.t array -> F.t array -> int -> F.t
+  (** [dot a b len] is [a.(0) b.(0) + ... + a.(len - 1) b.(len - 1)]:
+      the one fixed-row product behind {!fits}, {!interpolate_checked},
+      the reconstructions and their list twins. It ticks [len] mults and
+      [len] adds, what accumulating [F.mul] products with [F.add] from
+      zero ticks. With the field's {!Field_intf.S.dot} kernel the sum is
+      formed raw and those ticks are paid in bulk; without one it is
+      that loop. *)
+
   val eval_coeffs : t -> F.t array -> F.t array
   (** Evaluate the polynomial with the given coefficients (increasing
       degree, length [<= t + 1]) at all [n] grid points via the

@@ -310,15 +310,30 @@ type 'msg t = {
      complete — the O(1) fast path behind {!complete_last_round}. *)
   mutable enqueued : int;
   mutable last_enqueued : int;
+  (* A pristine net (no plan, no carrier) cannot drop, delay, duplicate
+     or reorder, so its rounds go to a dense store indexed by
+     [dst * n + src]: the message, the round it was sent for (the
+     presence mark: equal to the forming round [rounds + 1] while
+     sending, to [rounds] once delivered) and its send-time size. The
+     store is built on the first send and reused by every round; the
+     size array only once a size is observed. *)
+  pristine : bool;
+  mutable store_msgs : 'msg array;
+  mutable store_round : int array;
+  mutable store_sizes : int array;
+  (* Set when a second send on one link in one round moved the round
+     to the list queues (see [spill]); cleared at the barrier. *)
+  mutable spilled : bool;
 }
 
 let create ?carrier ?codec ~n ~byte_size () =
   if n < 1 then invalid_arg "Net.create: n must be positive";
+  let plan = !ambient_plan in
   {
     n;
     byte_size;
     codec;
-    plan = !ambient_plan;
+    plan;
     carrier;
     queues = Array.make n [];
     delayed = [];
@@ -326,6 +341,11 @@ let create ?carrier ?codec ~n ~byte_size () =
     next_uid = 0;
     enqueued = 0;
     last_enqueued = 0;
+    pristine = Option.is_none plan && Option.is_none carrier;
+    store_msgs = [||];
+    store_round = [||];
+    store_sizes = [||];
+    spilled = false;
   }
 
 let n t = t.n
@@ -349,6 +369,52 @@ let enqueue t ~src ~dst ~bytes msg =
   t.enqueued <- t.enqueued + 1;
   t.queues.(dst) <- queue_message t ~src ~dst ~bytes msg :: t.queues.(dst)
 
+let stored_size t k =
+  if Array.length t.store_sizes = 0 then unsized else t.store_sizes.(k)
+
+(* A second send on one link in one round — the one thing the store
+   cannot hold — moves the round so far to the list queues, which then
+   take every later send of the round, so the inbox is exactly the list
+   path's. The queues are empty until then, and each stored message
+   precedes every later send from its sender, so queueing the stored
+   round in sender order and sorting stably by sender at the barrier
+   restores send order per sender. *)
+let spill t =
+  let n = t.n and r = t.rounds + 1 in
+  t.spilled <- true;
+  for dst = 0 to n - 1 do
+    for src = 0 to n - 1 do
+      let k = (dst * n) + src in
+      if t.store_round.(k) = r then
+        t.queues.(dst) <-
+          queue_message t ~src ~dst ~bytes:(stored_size t k) t.store_msgs.(k)
+          :: t.queues.(dst)
+    done
+  done
+
+(* Deposit one message on a pristine net: into the store, or into the
+   queues once the round has spilled. *)
+let store t ~src ~dst ~bytes msg =
+  let n = t.n and r = t.rounds + 1 in
+  if Array.length t.store_round = 0 then begin
+    t.store_msgs <- Array.make (n * n) msg;
+    t.store_round <- Array.make (n * n) 0
+  end;
+  let k = (dst * n) + src in
+  if t.spilled then enqueue t ~src ~dst ~bytes msg
+  else if t.store_round.(k) = r then begin
+    spill t;
+    enqueue t ~src ~dst ~bytes msg
+  end
+  else begin
+    t.enqueued <- t.enqueued + 1;
+    t.store_round.(k) <- r;
+    t.store_msgs.(k) <- msg;
+    if bytes <> unsized && Array.length t.store_sizes = 0 then
+      t.store_sizes <- Array.make (n * n) unsized;
+    if Array.length t.store_sizes > 0 then t.store_sizes.(k) <- bytes
+  end
+
 let corrupted_copy t plan msg =
   match t.codec with
   | None -> None (* no wire form to mangle: detected and discarded *)
@@ -369,7 +435,9 @@ let send t ~src ~dst msg =
       Trace.event (fun () -> Trace.Send { src; dst; bytes })
   end;
   match t.plan with
-  | None -> enqueue t ~src ~dst ~bytes msg
+  | None ->
+      if t.pristine then store t ~src ~dst ~bytes msg
+      else enqueue t ~src ~dst ~bytes msg
   | Some plan ->
       if Plan.down plan src then Plan.count_crashed_msg plan
       else if src = dst then
@@ -398,16 +466,135 @@ let send t ~src ~dst msg =
             | None -> ())
       end
 
+(* With nothing observing — no measurement open, no collector — a send
+   on a pristine net reads no size and ticks and records nothing, so the
+   row goes straight to the store. *)
 let send_to_all t ~src f =
   check_id t "send_to_all" src;
-  for dst = 0 to t.n - 1 do
-    send t ~src ~dst (f dst)
-  done
+  if t.pristine && not (Metrics.counting_enabled () || Trace.enabled ()) then
+    for dst = 0 to t.n - 1 do
+      store t ~src ~dst ~bytes:unsized (f dst)
+    done
+  else
+    for dst = 0 to t.n - 1 do
+      send t ~src ~dst (f dst)
+    done
 
-let deliver t =
-  Trace.span Trace.Round "net.round" @@ fun () ->
-  Metrics.tick_round ();
-  t.rounds <- t.rounds + 1;
+(* Attribution helper for the sentinel ledger: how many receivers ended
+   an exchange with no copy at all from each sender. Under a bounded
+   envelope with rt >= 1 an honest live sender's final copy always
+   lands, so only crashed receivers (at most t of them) can miss it —
+   persistent absence at t + 1 or more receivers is attributable to the
+   sender, not the links. Pure integer bookkeeping: no field ops, no
+   randomness. *)
+let absent_counts ?(unique_senders = false) ~n inboxes =
+  let missing = Array.make n 0 in
+  (* Fast path for the hot exposure loop: when each inbox is known to
+     hold at most one entry per sender — pristine nets (drivers send
+     once per round) or merged retransmit envelopes (deduped by
+     construction) — [n] full inboxes prove nobody is absent, and the
+     per-sender walk is skipped entirely. *)
+  if
+    unique_senders
+    && Array.for_all (fun ib -> List.compare_length_with ib n = 0) inboxes
+  then missing
+  else begin
+    (* Epoch marking: [seen.(src) = i] means inbox [i] heard from [src],
+       so one scratch array serves every inbox without reallocation. *)
+    let seen = Array.make n (-1) in
+    Array.iteri
+      (fun i inbox ->
+        List.iter
+          (fun (src, _) -> if src >= 0 && src < n then seen.(src) <- i)
+          inbox;
+        for src = 0 to n - 1 do
+          if seen.(src) <> i then missing.(src) <- missing.(src) + 1
+        done)
+      inboxes;
+    missing
+  end
+
+module Inbox = struct
+  type 'msg net = 'msg t
+
+  type 'msg t =
+    | Lists of (int * 'msg) list array
+    | Store of 'msg net * int  (* a pristine net and its delivered round *)
+
+  let current net r =
+    if net.rounds <> r || net.enqueued <> 0 then
+      invalid_arg "Net.Inbox: the net has moved on past this round"
+
+  let fold inbox ~dst f init =
+    match inbox with
+    | Lists a -> List.fold_left (fun acc (src, msg) -> f src msg acc) init a.(dst)
+    | Store (net, r) ->
+        current net r;
+        let n = net.n in
+        let base = dst * n and acc = ref init in
+        for src = 0 to n - 1 do
+          if net.store_round.(base + src) = r then
+            acc := f src net.store_msgs.(base + src) !acc
+        done;
+        !acc
+
+  let max_length = function
+    | Store (net, _) -> net.n
+    | Lists a -> Array.fold_left (fun m l -> max m (List.length l)) 0 a
+
+  let to_lists = function
+    | Lists a -> a
+    | Store (net, r) ->
+        current net r;
+        let n = net.n in
+        Array.init n (fun dst ->
+            let base = dst * n and l = ref [] in
+            for src = n - 1 downto 0 do
+              if net.store_round.(base + src) = r then
+                l := (src, net.store_msgs.(base + src)) :: !l
+            done;
+            !l)
+
+  let absent_counts ?unique_senders ~n = function
+    | Lists a -> absent_counts ?unique_senders ~n a
+    | Store (net, r) ->
+        current net r;
+        let missing = Array.make n 0 in
+        for dst = 0 to net.n - 1 do
+          for src = 0 to net.n - 1 do
+            if net.store_round.((dst * net.n) + src) <> r then
+              missing.(src) <- missing.(src) + 1
+          done
+        done;
+        missing
+end
+
+(* The barrier of a round held in the store: the same receive events, in
+   the same order, as the list path below would emit for it. *)
+let deliver_store t =
+  let n = t.n and r = t.rounds in
+  Log.debug (fun m ->
+      m "round %d: delivering %d messages to %d players" r t.enqueued n);
+  let inbox =
+    if Array.length t.store_round = 0 then Inbox.Lists (Array.make n [])
+    else Inbox.Store (t, r)
+  in
+  if Trace.enabled () && Array.length t.store_round > 0 then
+    for dst = 0 to n - 1 do
+      for src = 0 to n - 1 do
+        let k = (dst * n) + src in
+        if t.store_round.(k) = r then begin
+          let bytes = stored_size t k in
+          let bytes = if bytes = unsized then t.byte_size t.store_msgs.(k) else bytes in
+          Trace.event (fun () -> Trace.Recv { src; dst; bytes })
+        end
+      done
+    done;
+  t.last_enqueued <- t.enqueued;
+  t.enqueued <- 0;
+  inbox
+
+let deliver_queues t =
   (match t.plan with
   | Some plan ->
       Plan.advance_round plan;
@@ -555,6 +742,17 @@ let deliver t =
   t.enqueued <- 0;
   inbox
 
+let deliver_inbox t =
+  Trace.span Trace.Round "net.round" @@ fun () ->
+  Metrics.tick_round ();
+  t.rounds <- t.rounds + 1;
+  if t.pristine && not t.spilled then deliver_store t
+  else begin
+    t.spilled <- false;
+    Inbox.Lists (deliver_queues t)
+  end
+
+let deliver t = Inbox.to_lists (deliver_inbox t)
 let rounds_elapsed t = t.rounds
 
 (* O(1) completeness certificate for the sentinel's silence tally: with
@@ -574,11 +772,11 @@ let complete_last_round t =
    final attempt is guaranteed clean, making absorption deterministic.
    With no ambient plan — or a zero budget — this is exactly one
    ordinary round. *)
-let exchange t ~send =
+let exchange_inbox t ~send =
   match t.plan with
   | None ->
       send ();
-      deliver t
+      deliver_inbox t
   | Some plan ->
       let attempts = Plan.retransmits plan + 1 in
       let finally () = Plan.exit_envelope plan in
@@ -586,7 +784,7 @@ let exchange t ~send =
         Plan.enter_envelope plan ~attempt:1 ~attempts:1;
         Fun.protect ~finally (fun () ->
             send ();
-            deliver t)
+            deliver_inbox t)
       end
       else begin
         let latest = Array.init t.n (fun _ -> Array.make t.n None) in
@@ -602,46 +800,15 @@ let exchange t ~send =
                     msgs)
                 inbox
             done);
-        Array.init t.n (fun dst ->
-            List.filter_map
-              (fun src ->
-                Option.map (fun msg -> (src, msg)) latest.(dst).(src))
-              (List.init t.n Fun.id))
+        Inbox.Lists
+          (Array.init t.n (fun dst ->
+               List.filter_map
+                 (fun src ->
+                   Option.map (fun msg -> (src, msg)) latest.(dst).(src))
+                 (List.init t.n Fun.id)))
       end
 
-(* Attribution helper for the sentinel ledger: how many receivers ended
-   an exchange with no copy at all from each sender. Under a bounded
-   envelope with rt >= 1 an honest live sender's final copy always
-   lands, so only crashed receivers (at most t of them) can miss it —
-   persistent absence at t + 1 or more receivers is attributable to the
-   sender, not the links. Pure integer bookkeeping: no field ops, no
-   randomness. *)
-let absent_counts ?(unique_senders = false) ~n inboxes =
-  let missing = Array.make n 0 in
-  (* Fast path for the hot exposure loop: when each inbox is known to
-     hold at most one entry per sender — pristine nets (drivers send
-     once per round) or merged retransmit envelopes (deduped by
-     construction) — [n] full inboxes prove nobody is absent, and the
-     per-sender walk is skipped entirely. *)
-  if
-    unique_senders
-    && Array.for_all (fun ib -> List.compare_length_with ib n = 0) inboxes
-  then missing
-  else begin
-    (* Epoch marking: [seen.(src) = i] means inbox [i] heard from [src],
-       so one scratch array serves every inbox without reallocation. *)
-    let seen = Array.make n (-1) in
-    Array.iteri
-      (fun i inbox ->
-        List.iter
-          (fun (src, _) -> if src >= 0 && src < n then seen.(src) <- i)
-          inbox;
-        for src = 0 to n - 1 do
-          if seen.(src) <> i then missing.(src) <- missing.(src) + 1
-        done)
-      inboxes;
-    missing
-  end
+let exchange t ~send = Inbox.to_lists (exchange_inbox t ~send)
 
 module Faults = struct
   type t = { n : int; faulty : bool array }

@@ -208,12 +208,20 @@ val create :
   byte_size:('msg -> int) ->
   unit ->
   'msg t
-(** A fresh network for one protocol execution. [byte_size] gives the
-    wire size of each message for communication accounting and trace
-    events. It runs only while someone reads the size (see
-    {!observed_size}), at most once per message, so it must be pure: an
-    untraced, unmeasured run never calls it. The network captures the
-    ambient fault plan, if any. [codec] is the wire
+(** A fresh network for one protocol execution. It is {e pristine} when
+    created with no ambient fault plan and no [carrier]: nothing can be
+    dropped, delayed, duplicated or reordered, so its rounds are held in
+    a dense per-network store — per (receiver, sender), the message, a
+    presence mark and the send-time size, built on the first send and
+    reused by every round — instead of per-message queue entries. A
+    second send on one link in one round moves that round to the
+    queues. Inboxes, metrics and trace events are the same either way.
+
+    [byte_size] gives the wire size of each message for communication
+    accounting and trace events. It runs only while someone reads the
+    size (see {!observed_size}), at most once per message, so it must be
+    pure: an untraced, unmeasured run never calls it. The network
+    captures the ambient fault plan, if any. [codec] is the wire
     encoding used for byte-level corruption faults: a corrupted message
     is re-encoded, has one bit flipped, and is re-decoded — if the
     strict decoder rejects the mangled bytes the message is dropped
@@ -236,7 +244,11 @@ val send_to_all : 'msg t -> src:int -> (int -> 'msg) -> unit
 (** [send_to_all net ~src f] sends [f dst] to every player [dst]
     (including [src] itself, uncounted). With a constant [f] this is the
     point-to-point "announce" the paper uses in place of broadcast; a
-    faulty player equivocates by varying [f].
+    faulty player equivocates by varying [f]. While nothing observes the
+    round (no {!Metrics} measurement open, no {!Trace} collector) a
+    pristine net (see {!create}) stores the row without the per-message
+    observation checks of {!send}; [f] must leave that state as it found
+    it, as every scoped {!Metrics} and {!Trace} call does.
 
     @raise Invalid_argument if [src] is out of range. *)
 
@@ -263,6 +275,39 @@ val exchange : 'msg t -> send:(unit -> unit) -> (int * 'msg) list array
     — so fault-free runs are bit-identical to the unhardened protocol.
     Each attempt costs one round and re-sends every message, which is
     the round/message cost multiplier of hardening. *)
+
+(** {1 Reading a round in place} *)
+
+module Inbox : sig
+  type 'msg t
+  (** The inboxes of one delivered round, as {!exchange_inbox} returns
+      them. A round of a pristine net (see {!create}) that sent at most
+      once per link is read in place from the net's store, with no list
+      built; any other round holds the lists {!exchange} returns. Either
+      way every reader below sees exactly those lists. A view of the
+      store is valid until the next send on its net: reading it later
+      raises [Invalid_argument]. *)
+
+  val fold : 'msg t -> dst:int -> (int -> 'msg -> 'a -> 'a) -> 'a -> 'a
+  (** [fold inbox ~dst f init] applies [f sender msg] along [dst]'s
+      inbox in inbox order, threading the accumulator. *)
+
+  val max_length : _ t -> int
+  (** A bound on every inbox's length: [n] for a round read in place
+      (one message per link), the longest list otherwise. *)
+
+  val to_lists : 'msg t -> (int * 'msg) list array
+  (** The inboxes as {!exchange} returns them. *)
+
+  val absent_counts : ?unique_senders:bool -> n:int -> _ t -> int array
+  (** {!Net.absent_counts} of {!to_lists}, read off the presence marks
+      for a round held in the store. *)
+end
+
+val exchange_inbox : 'msg t -> send:(unit -> unit) -> 'msg Inbox.t
+(** {!exchange}, returning the round as an {!Inbox.t}; on a pristine net
+    this builds no list at all. [exchange net ~send] is
+    [Inbox.to_lists (exchange_inbox net ~send)]. *)
 
 val rounds_elapsed : _ t -> int
 

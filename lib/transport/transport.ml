@@ -325,6 +325,10 @@ let rounds_elapsed = Net.rounds_elapsed
 let complete_last_round = Net.complete_last_round
 let absent_counts = Net.absent_counts
 
+module Inbox = Net.Inbox
+
+let exchange_inbox = Net.exchange_inbox
+
 (* ----------------------- Broadcast channel ----------------------- *)
 
 (* One announcement is one counted message, sized once and only while

@@ -171,6 +171,16 @@ val complete_last_round : _ conn -> bool
 val absent_counts :
   ?unique_senders:bool -> n:int -> (int * 'msg) list array -> int array
 
+(** {2 Reading a round in place}
+
+    {!Net.Inbox}: a round of a pristine [Sim] net is read straight from
+    the net's dense store. The [Domains] and [Socket] carriers and fault
+    plans always hold lists, so the same reader serves every backend. *)
+
+module Inbox = Net.Inbox
+
+val exchange_inbox : 'msg conn -> send:(unit -> unit) -> 'msg Inbox.t
+
 (** {1 Broadcast channel} *)
 
 val broadcast_round :

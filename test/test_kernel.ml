@@ -1,6 +1,7 @@
 (* Equivalence of the precomputed evaluation-grid kernels (lib/kernel)
    with the naive Poly/Shamir paths they replace, across every field
-   backend, plus each Gf2k multiplication regime against the naive
+   backend, the dot-product kernel and the grid entries built on it,
+   plus each Gf2k multiplication regime against the naive
    reference: tables over the full domain for k <= 12, the carry-less
    product at every k in 17..32, the word loop above. Fields are exact,
    so the kernels must agree bit-for-bit, not approximately. *)
@@ -211,6 +212,246 @@ module Check_zq = Check (Q97) (struct let tag = "zq-97" end)
 module Check_fft =
   Check (Fft_field.GF_k64) (struct let tag = "fft-k64" end)
 
+(* The dot-product kernel ({!Field_intf.S.dot}) and the grid products
+   routed through it. For every field instance, [Grid.dot] (the kernel
+   with bulk ticks, or the loop where the field has none) must equal
+   the ticked accumulate-from-zero loop at every length 0..8 and tick
+   exactly what it ticks, and a field's own kernel (the carry-less
+   GF(2^k) ones) must equal it while ticking nothing. Each grid entry built on [dot] must tick the mults,
+   adds and interpolations the per-product loops ticked, early exits
+   included: rows_done * (t + 1) per degree check, t + 1 per
+   reconstruction, one interpolation per call. *)
+module Dot_check
+    (F : Field_intf.S)
+    (Tag : sig
+      val tag : string
+
+      val special : Prng.t -> F.t
+      (** An extreme operand: for GF(2^k), 2^k - 1, a lone top bit, or a
+          top-heavy value whose products spill past the second fold. *)
+    end) =
+struct
+  module G = Grid.Make (F)
+
+  let loop a b len =
+    let acc = ref F.zero in
+    for j = 0 to len - 1 do
+      acc := F.add !acc (F.mul a.(j) b.(j))
+    done;
+    !acc
+
+  let costs (s : Metrics.snapshot) =
+    (s.Metrics.field_mults, s.Metrics.field_adds, s.Metrics.field_invs,
+     s.Metrics.interpolations)
+
+  let ticks f =
+    let _, s = Metrics.with_counting f in
+    costs s
+
+  let test_dot () =
+    let g = Prng.of_int 4242 in
+    let operand () = if Prng.int g 3 = 0 then Tag.special g else F.random g in
+    for len = 0 to 8 do
+      for trial = 1 to 150 do
+        let a = Array.init (len + Prng.int g 2) (fun _ -> operand ())
+        and b = Array.init (len + Prng.int g 2) (fun _ -> operand ()) in
+        if trial = 1 then begin
+          Array.fill a 0 len (Tag.special g);
+          Array.fill b 0 len (Tag.special g)
+        end;
+        let want, loop_ticks = Metrics.with_counting (fun () -> loop a b len) in
+        let got, grid_ticks = Metrics.with_counting (fun () -> G.dot a b len) in
+        if not (F.equal got want) then
+          Alcotest.failf "%s: Grid.dot diverges from the loop at len %d" Tag.tag len;
+        Alcotest.(check (pair (pair int int) (pair int int)))
+          (Printf.sprintf "%s: Grid.dot ticks like the loop at len %d" Tag.tag len)
+          (let m, a, i, p = costs loop_ticks in ((m, a), (i, p)))
+          (let m, a, i, p = costs grid_ticks in ((m, a), (i, p)));
+        match F.dot with
+        | None -> ()
+        | Some kernel ->
+            let raw, raw_ticks = Metrics.with_counting (fun () -> kernel a b len) in
+            if not (F.equal raw want) then
+              Alcotest.failf "%s: dot kernel diverges from the loop at len %d"
+                Tag.tag len;
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: dot kernel ticks nothing" Tag.tag)
+              true
+              (costs raw_ticks = (0, 0, 0, 0))
+      done
+    done
+
+  let test_grid_ticks () =
+    let n = 13 and t = 2 in
+    let b = t + 1 and rows = n - t - 1 in
+    let plan = G.make ~n ~t in
+    let g = Prng.of_int 1313 in
+    let cs = Array.init b (fun _ -> F.random g) in
+    let values = Metrics.without_counting (fun () -> G.eval_coeffs plan cs) in
+    let off r =
+      let v = Array.copy values in
+      v.(b + r) <- Metrics.without_counting (fun () -> F.add v.(b + r) F.one);
+      v
+    in
+    let off0 = off 0 and off2 = off 2 and off4 = off 4 and last = off (rows - 1) in
+    let check label want f =
+      ignore (f ());
+      (* caches warmed: only the steady-state ticks are compared *)
+      let m, a, i, p = ticks f in
+      Alcotest.(check (pair (pair int int) (pair int int)))
+        (Printf.sprintf "%s: %s (mults, adds), (invs, interps)" Tag.tag label)
+        ((want, want), (0, 1))
+        ((m, a), (i, p))
+    in
+    check "fits" (rows * b) (fun () -> assert (G.fits plan values));
+    check "fits, first row off" b (fun () -> assert (not (G.fits plan off0)));
+    check "fits, fifth row off" (5 * b) (fun () ->
+        assert (not (G.fits plan off4)));
+    check "interpolate_checked" ((rows * b) + (b * b)) (fun () ->
+        assert (G.interpolate_checked plan values <> None));
+    check "interpolate_checked, third row off" (3 * b) (fun () ->
+        assert (G.interpolate_checked plan off2 = None));
+    let ids = Array.init n Fun.id in
+    check "full reconstruct" ((rows * b) + b) (fun () ->
+        assert (G.reconstruct_zero_checked_into plan ~ids ~ys:values ~len:n <> None));
+    check "full reconstruct, last row off" (rows * b) (fun () ->
+        assert (
+          G.reconstruct_zero_checked_into plan ~ids ~ys:last ~len:n
+          = None));
+    (* A subset in inbox order with two players missing, shuffled. *)
+    let sub = [| 4; 0; 2; 3; 6; 7; 8; 9; 10; 12; 11 |] in
+    let s = Array.length sub in
+    let sys = Array.map (fun i -> values.(i)) sub in
+    check "subset reconstruct" (((s - b) * b) + b) (fun () ->
+        assert (G.reconstruct_zero_checked_into plan ~ids:sub ~ys:sys ~len:s <> None));
+    let points = Array.to_list (Array.map (fun i -> (i, values.(i))) sub) in
+    check "list reconstruct_zero_checked" (((s - b) * b) + b) (fun () ->
+        assert (G.reconstruct_zero_checked plan points <> None));
+    check "list fits_on" ((s - b) * b) (fun () -> assert (G.fits_on plan points));
+    check "list reconstruct_zero" s (fun () -> G.reconstruct_zero plan points)
+
+  let suite =
+    [
+      Alcotest.test_case (Tag.tag ^ ": dot = the ticked loop, len 0..8") `Quick
+        test_dot;
+      Alcotest.test_case (Tag.tag ^ ": grid entries tick as before") `Quick
+        test_grid_ticks;
+    ]
+end
+
+let gf2k_special (type a) (module M : Gf2k.S with type t = a) g =
+  let k = M.k_bits in
+  let top = (1 lsl k) - 1 in
+  M.of_repr
+    (match Prng.int g 3 with
+    | 0 -> top
+    | 1 -> 1 lsl (k - 1)
+    | _ -> Prng.bits g k lor (top lxor (top lsr 3)))
+
+let field_special (type a) (module M : Field_intf.S with type t = a) g =
+  match Prng.int g 3 with 0 -> M.neg M.one | 1 -> M.one | _ -> M.zero
+
+module GF24 = Gf2k.Make (struct let k = 24 end)
+module GF33 = Gf2k.Make (struct let k = 33 end)
+module GF32_untabled = Gf2k.Make_untabled (struct let k = 32 end)
+module P97 = Zp.Make (struct let p = 97 end)
+
+module Dot_gf16 =
+  Dot_check (Gf2k.GF16) (struct
+    let tag = "dot gf2k-16 tabled"
+    let special = gf2k_special (module Gf2k.GF16)
+  end)
+
+module Dot_gf24 =
+  Dot_check (GF24) (struct
+    let tag = "dot gf2k-24 carry-less"
+    let special = gf2k_special (module GF24)
+  end)
+
+module Dot_gf32 =
+  Dot_check (Gf2k.GF32) (struct
+    let tag = "dot gf2k-32 carry-less"
+    let special = gf2k_special (module Gf2k.GF32)
+  end)
+
+module Dot_gf33 =
+  Dot_check (GF33) (struct
+    let tag = "dot gf2k-33 word"
+    let special = gf2k_special (module GF33)
+  end)
+
+module Dot_untabled =
+  Dot_check (GF32_untabled) (struct
+    let tag = "dot gf2k-32 untabled"
+    let special = gf2k_special (module GF32_untabled)
+  end)
+
+module Dot_zp =
+  Dot_check (P97) (struct
+    let tag = "dot zp-97"
+    let special = field_special (module P97)
+  end)
+
+module Dot_zq =
+  Dot_check (Q97) (struct
+    let tag = "dot zq-97"
+    let special = field_special (module Q97)
+  end)
+
+module Dot_wide =
+  Dot_check (Gf2_wide.GF64) (struct
+    let tag = "dot gf2-wide-64"
+    let special = field_special (module Gf2_wide.GF64)
+  end)
+
+module Dot_fft =
+  Dot_check (Fft_field.GF_k64) (struct
+    let tag = "dot fft-k64"
+    let special = field_special (module Fft_field.GF_k64)
+  end)
+
+(* The carry-less kernel folds the xor of the unreduced products once.
+   At every width in 17..32 the sum must still agree with the reference
+   loop when it spills past the first fold, which top-heavy operands
+   make common: each width whose modulus can spill (deg r >= 2) must
+   meet at least 100 such sums. *)
+let test_clmul_dot_second_fold () =
+  let clmul a b =
+    let acc = ref 0 in
+    for i = 0 to 31 do
+      if a land (1 lsl i) <> 0 then acc := !acc lxor (b lsl i)
+    done;
+    !acc
+  in
+  for k = 17 to 32 do
+    let module M = Gf2k.Make (struct let k = k end) in
+    let dot = Option.get M.dot in
+    let deg_r = Gf2k.degree (M.modulus lxor (1 lsl k)) in
+    let top = (1 lsl k) - 1 in
+    let g = Prng.of_int (1900 + k) in
+    let high () = Prng.bits g k lor (top lxor (top lsr 3)) in
+    let spilled = ref 0 in
+    for trial = 0 to 999 do
+      let len = 1 + (trial mod 8) in
+      let a = Array.init len (fun _ -> high ()) in
+      let b = Array.init len (fun _ -> if trial = 0 then top else high ()) in
+      let z = ref 0 in
+      for j = 0 to len - 1 do
+        z := !z lxor clmul a.(j) b.(j)
+      done;
+      if Gf2k.degree (!z lsr k) + deg_r >= k then incr spilled;
+      let want = ref M.zero in
+      for j = 0 to len - 1 do
+        want := M.add !want (M.mul_naive (M.of_repr a.(j)) (M.of_repr b.(j)))
+      done;
+      let got = dot (Array.map M.of_repr a) (Array.map M.of_repr b) len in
+      if not (M.equal got !want) then
+        Alcotest.failf "k=%d: dot diverges from the naive loop (trial %d)" k trial
+    done;
+    if deg_r >= 2 && !spilled < 100 then
+      Alcotest.failf "k=%d: only %d sums reach the second fold" k !spilled
+  done
+
 (* Tabled GF(2^k) multiplication must agree with the naive
    shift-and-xor reference on the complete a x b domain for every
    k <= 12 — the exhaustive regime the issue pins down; k = 16 is
@@ -374,7 +615,12 @@ let test_degree_matches_scan () =
 
 let suite =
   Check_gf2k.suite @ Check_wide.suite @ Check_zq.suite @ Check_fft.suite
+  @ Dot_gf16.suite @ Dot_gf24.suite @ Dot_gf32.suite @ Dot_gf33.suite
+  @ Dot_untabled.suite @ Dot_zp.suite @ Dot_zq.suite @ Dot_wide.suite
+  @ Dot_fft.suite
   @ [
+      Alcotest.test_case "carry-less dot = naive loop past the second fold"
+        `Quick test_clmul_dot_second_fold;
       Alcotest.test_case "tabled mul = naive mul (exhaustive, k<=12)" `Slow
         test_tabled_mul_exhaustive;
       Alcotest.test_case "tabled mul = naive mul (sampled, k=16)" `Quick

@@ -440,6 +440,126 @@ let test_sizing_only_when_observed () =
        (function _, Trace.Recv { src = 0; dst = 1; bytes = 5 } -> true | _ -> false)
        (Trace.all_events trace))
 
+(* ----------------- Pristine store vs list queues ----------------- *)
+
+(* A pristine net (no plan, no carrier) holds its rounds in a dense
+   store; under an empty plan, which never samples a fault, the same
+   rounds take the list queues. Random rounds with silent senders,
+   announcements, self-messages, missing links and now and then a second
+   send on one link (which moves a pristine round to the queues) must
+   give the same inboxes — through [exchange] and through every
+   [Inbox] reader — and the same costs and trace events on both. *)
+type round_view = {
+  lists : (int * string) list array;
+  folded : (int * string) list array;
+  absent : int array;
+  complete : bool;
+}
+
+let store_rounds ~n seed net =
+  let g = Prng.of_int seed in
+  List.init 6 (fun round ->
+      let sent = ref 0 in
+      let send () =
+        for src = 0 to n - 1 do
+          match Prng.int g 5 with
+          | 0 -> ()
+          | 1 ->
+              Net.send_to_all net ~src (fun _ -> Printf.sprintf "a%d.%d" round src);
+              sent := !sent + n
+          | _ ->
+              for dst = 0 to n - 1 do
+                if Prng.int g 5 > 0 then begin
+                  Net.send net ~src ~dst (Printf.sprintf "m%d.%d>%d" round src dst);
+                  incr sent
+                end
+              done
+        done;
+        if Prng.int g 3 = 0 then begin
+          Net.send net ~src:(Prng.int g n) ~dst:(Prng.int g n) "again";
+          incr sent
+        end
+      in
+      let view =
+      if round mod 2 = 0 then begin
+        let lists = Net.exchange net ~send in
+        {
+          lists;
+          folded = lists;
+          absent = Net.absent_counts ~n lists;
+          complete = Net.complete_last_round net;
+        }
+      end
+      else begin
+        let inbox = Net.exchange_inbox net ~send in
+        let absent = Net.Inbox.absent_counts ~n inbox in
+        let folded =
+          Array.init n (fun dst ->
+              List.rev
+                (Net.Inbox.fold inbox ~dst (fun src msg acc -> (src, msg) :: acc) []))
+        in
+        let lists = Net.Inbox.to_lists inbox in
+        Array.iter
+          (fun l ->
+            if List.length l > Net.Inbox.max_length inbox then
+              Alcotest.fail "an inbox is longer than Inbox.max_length")
+          lists;
+        { lists; folded; absent; complete = Net.complete_last_round net }
+      end
+      in
+      (view, !sent))
+
+let test_store_matches_queues () =
+  let empty_plan () = Net.Plan.make ~seed:5 () in
+  let observe label wrap =
+    for seed = 1 to 40 do
+      let n = 1 + (seed mod 7) in
+      let run plan =
+        let go () =
+          let net = Net.create ~codec:str_codec ~n ~byte_size:String.length () in
+          store_rounds ~n seed net
+        in
+        match plan with None -> wrap go | Some p -> wrap (fun () -> Net.with_plan p go)
+      in
+      let (pristine, p_obs), (queued, q_obs) = (run None, run (Some (empty_plan ()))) in
+      let tag = Printf.sprintf "%s seed=%d n=%d" label seed n in
+      Alcotest.(check string) (tag ^ ": costs and trace") q_obs p_obs;
+      List.iteri
+        (fun round (((p : round_view), sent), ((q : round_view), _)) ->
+          let tag = Printf.sprintf "%s round %d" tag round in
+          let inboxes = Alcotest.(array (list (pair int string))) in
+          Alcotest.check inboxes (tag ^ ": inboxes") q.lists p.lists;
+          Alcotest.check inboxes (tag ^ ": folded inboxes") q.folded p.folded;
+          Alcotest.check inboxes (tag ^ ": fold = lists") p.lists p.folded;
+          Alcotest.(check (array int)) (tag ^ ": absent counts") q.absent p.absent;
+          Alcotest.(check bool) (tag ^ ": complete iff n^2 sends") (sent = n * n) p.complete;
+          Alcotest.(check bool) (tag ^ ": never complete under a plan") false q.complete)
+        (List.combine pristine queued)
+    done
+  in
+  observe "bare" (fun f -> (f (), ""));
+  observe "counted" (fun f ->
+      let v, snap = Metrics.with_counting f in
+      (v, Printf.sprintf "messages=%d bytes=%d rounds=%d" snap.Metrics.messages
+            snap.Metrics.bytes snap.Metrics.rounds));
+  observe "traced" (fun f ->
+      let v, trace = Trace.collect f in
+      (v, Fmt.str "%a" Trace.pp_jsonl trace))
+
+(* A view of the store is valid until the next send on its net. *)
+let test_inbox_view_expires () =
+  let net = mk 3 in
+  let inbox = Net.exchange_inbox net ~send:(fun () -> Net.send_to_all net ~src:0 (fun _ -> "x")) in
+  Alcotest.(check (list (pair int string)))
+    "read in place" [ (0, "x") ] (Net.Inbox.to_lists inbox).(2);
+  Alcotest.(check int) "bounded by n" 3 (Net.Inbox.max_length inbox);
+  Net.send net ~src:1 ~dst:2 "y";
+  Alcotest.check_raises "stale after the next send"
+    (Invalid_argument "Net.Inbox: the net has moved on past this round")
+    (fun () -> ignore (Net.Inbox.fold inbox ~dst:2 (fun _ _ k -> k + 1) 0));
+  Alcotest.(check (list (pair int string)))
+    "the next round is unaffected" [ (1, "y") ] (Net.deliver net).(2)
+
 let suite =
   [
     Alcotest.test_case "delivery order" `Quick test_delivery_order;
@@ -474,4 +594,8 @@ let suite =
     Alcotest.test_case "faults validation" `Quick test_faults_validation;
     Alcotest.test_case "sizing only when observed" `Quick
       test_sizing_only_when_observed;
+    Alcotest.test_case "pristine store = list queues" `Quick
+      test_store_matches_queues;
+    Alcotest.test_case "inbox view expires at the next send" `Quick
+      test_inbox_view_expires;
   ]
