@@ -271,41 +271,6 @@ module Make (F : Field_intf.S) : sig
     (** Release the journal file descriptor. Never writes. *)
   end
 
-  (** The deterministic crash-point sweep: runs a seeded workload once
-      to count durability points ({!Beacon_journal.Crash_point}), then
-      once per point with the writer killed at exactly that byte
-      offset, recovering and re-checking after each kill. *)
-  module Harness : sig
-    type report = {
-      points : int;  (** durability points (= crash offsets) swept *)
-      crashes : int;  (** runs actually killed mid-write *)
-      torn_recoveries : int;  (** recoveries that dropped a torn tail *)
-      epochs : int;  (** chain length each run converges to *)
-    }
-
-    val run :
-      ?epochs:int ->
-      ?requests:int ->
-      ?snapshot_every:int ->
-      ?stride:int ->
-      mk_fresh:(unit -> t) ->
-      mk_restore:(bytes -> t) ->
-      dir:string ->
-      unit ->
-      (report, string) result
-    (** Serve [epochs] epochs of [requests] requests each, snapshotting
-        every [snapshot_every] closes (0 = never), under files in
-        [dir]; then kill-and-recover at every [stride]-th durability
-        point. [mk_fresh] must build the same beacon every call (same
-        seed) and [mk_restore] must load its snapshots with the same
-        parameters. After every recovery the harness asserts: acked
-        epochs reappear digest-identical, the final chain is gapless
-        [0 .. epochs-1] and verifies, no seq is reused, and every
-        acked request id still in the dedup window replays
-        bit-identically. The first violated invariant comes back as
-        [Error] with the crash offset. *)
-  end
-
   (** {1 Synthetic consumer arrivals (loadgen)} *)
 
   module Arrival : sig

@@ -32,34 +32,25 @@ module Make (F : Field_intf.S) : sig
       (impossible for honest players when the coin's trust guarantee
       holds).
 
-      This is the steady-state path: on a pristine [Sim] net the round
-      is read in place from the net's store ({!Transport.Inbox}), trusted
-      shares are gathered into flat scratch arrays by one loop for every
-      backend and reconstructed through the plan's arena
-      ({!Grid.Make.reconstruct_zero_checked_into}), and attribution
-      bookkeeping is built only when a {!Sentinel} ledger is installed.
-      An honest, untraced exposure at [n = 13] allocates about 650 minor
-      words, most of them the net's [n^2] store. *)
-
-  val run_reference :
-    ?sender_behavior:(int -> sender_behavior) ->
-    C.t ->
-    F.t option array
-  (** The list-based reference twin of {!run}: same decoded values, same
-      steady-state {!Metrics} ticks (one-time subset-cache builds may
-      land in whichever twin runs first), same [Trace] events, same PRNG
-      stream (pinned by differential tests), but per-player point lists
-      and unconditional attribution tallies. Kept for equivalence tests
-      and as the bench baseline. *)
+      On a pristine [Sim] net the round is read in place
+      ({!Transport.Inbox}); trusted shares are gathered into flat
+      scratch arrays by one loop for every backend and reconstructed
+      through the plan's arena
+      ({!Grid.Make.reconstruct_zero_checked_into}); attribution is
+      tallied only under a {!Sentinel} ledger. An honest, untraced
+      exposure at [n = 13] allocates about 650 minor words, most of them
+      the net's [n^2] store. The tests pin it to a list-based reference
+      twin ([test/reference/]). *)
 
   val expose_bit : ?sender_behavior:(int -> sender_behavior) -> C.t -> bool option array
   (** [Fig. 6 step 3]: the binary coin [F(0) mod 2]. *)
 
   val run_lagrange :
     ?sender_behavior:(int -> sender_behavior) -> C.t -> F.t option array
-  (** Ablation variant: each player interpolates plainly through the
-      first [t + 1] trusted shares it receives instead of running the
-      Berlekamp–Welch decoder. Cheaper — and wrong under faults: a
+  (** Ablation variant: the same round and gather as {!run}, but each
+      player interpolates plainly through the first [t + 1] trusted
+      shares it receives instead of running the Berlekamp–Welch
+      decoder. Cheaper — and wrong under faults: a
       single lying trusted sender silently corrupts the coin and breaks
       unanimity. Exists for the DESIGN.md §5 ablation bench; the real
       protocol never uses it. *)

@@ -126,7 +126,7 @@ module Make (F : Field_intf.S) = struct
     in
     let inbox =
       Trace.span Trace.Phase "coin-gen.deal" @@ fun () ->
-      Transport.exchange deal_net ~send:(fun () ->
+      Transport.exchange_inbox deal_net ~send:(fun () ->
           Array.iteri
             (fun j -> function
               | None -> ()
@@ -136,33 +136,30 @@ module Make (F : Field_intf.S) = struct
     in
     let received =
       Array.init n (fun i ->
-          let row = Array.make n None in
-          List.iter
-            (fun (j, v) -> if Array.length v = m then row.(j) <- Some v)
-            inbox.(i);
-          row)
+          Transport.Inbox.fold inbox ~dst:i
+            (fun j v row ->
+              if Array.length v = m then row.(j) <- Some v;
+              row)
+            (Array.make n None))
     in
     (* Attribution: a dealer absent from (or malformed in) the merged
        deal inboxes of t + 1 players is blamed — the envelope delivers
        honest live senders everywhere, and at most t crashed receivers
        can void an inbox. Evaluated lazily, only under a ledger. *)
     let exchange_evidence inbox ~malformed =
-      let unique_senders =
-        match Transport.current_plan () with
-        | None -> true
-        | Some p -> Transport.Plan.retransmits p >= 1
-      in
-      let miss = Transport.absent_counts ~unique_senders ~n inbox in
+      let silent = Transport.Inbox.silent inbox ~at_least:(t + 1) in
       let bad = Array.make n 0 in
-      Array.iter
-        (List.iter (fun (j, v) -> if malformed v then bad.(j) <- bad.(j) + 1))
-        inbox;
+      for i = 0 to n - 1 do
+        Transport.Inbox.fold inbox ~dst:i
+          (fun j v () -> if malformed v then bad.(j) <- bad.(j) + 1)
+          ()
+      done;
       List.concat_map
         (fun j ->
           let acc =
             if bad.(j) >= t + 1 then [ (j, Sentinel.Undecodable) ] else []
           in
-          if miss.(j) >= t + 1 then (j, Sentinel.Silent) :: acc else acc)
+          if List.mem j silent then (j, Sentinel.Silent) :: acc else acc)
         (List.init n Fun.id)
     in
     Sentinel.observe (fun () ->
@@ -184,7 +181,7 @@ module Make (F : Field_intf.S) = struct
     in
     let inbox =
       Trace.span Trace.Phase "coin-gen.gamma" @@ fun () ->
-      Transport.exchange gamma_net ~send:(fun () ->
+      Transport.exchange_inbox gamma_net ~send:(fun () ->
           for i = 0 to n - 1 do
             match adversary.as_gamma i with
             | Honest_vec ->
@@ -208,11 +205,11 @@ module Make (F : Field_intf.S) = struct
     (* gammas.(i).(k).(j) = gamma_k^(dealer j) as received by player i. *)
     let gammas =
       Array.init n (fun i ->
-          let rows = Array.init n (fun _ -> Array.make n None) in
-          List.iter
-            (fun (k, vec) -> if Array.length vec = n then rows.(k) <- vec)
-            inbox.(i);
-          rows)
+          Transport.Inbox.fold inbox ~dst:i
+            (fun k vec rows ->
+              if Array.length vec = n then rows.(k) <- vec;
+              rows)
+            (Array.init n (fun _ -> Array.make n None)))
     in
     Sentinel.observe (fun () ->
         exchange_evidence inbox ~malformed:(fun v -> Array.length v <> n));

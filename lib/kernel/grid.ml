@@ -20,7 +20,7 @@ module Make (F : Field_intf.S) = struct
         (* subset bitset -> Lagrange-at-zero weights, ids ascending *)
     exts : (int, F.t array array) Hashtbl.t;
         (* subset bitset -> extension rows over its first deg + 1 ids *)
-    sc_ids : int array; (* scratch arena for the array reconstruct path *)
+    sc_ids : int array; (* scratch arena of every subset operation *)
     sc_ys : F.t array;
     mutable full_w0 : F.t array option;
         (* Lagrange-at-zero weights of the first deg + 1 grid points,
@@ -212,209 +212,137 @@ module Make (F : Field_intf.S) = struct
 
   (* ---- subsets -------------------------------------------------- *)
 
-  (* Canonical subset order is ascending player id; the cache key is the
-     membership bitset, which fits one word for n <= 62 (every deployed
-     grid: of_int player ids cap n well below that in the small fields,
-     and OCaml ints carry 62 bits). Larger grids skip the cache rather
-     than the computation. *)
-  let subset_key plan ids =
-    if plan.n > 62 then None
-    else Some (List.fold_left (fun acc i -> acc lor (1 lsl i)) 0 ids)
+  (* One core serves the array entry point and the list entry points:
+     the points are loaded into the plan's scratch arena (ids checked),
+     sorted by id and checked for duplicates there, and a subset's rows
+     are cached under its membership bitset. The arena makes every
+     subset operation non-re-entrant: one at a time per plan. *)
 
-  (* [sort_points_opt] is [None] when two points share a player id —
-     degraded networks deliver duplicates, which only the
-     error-correcting fallback knows how to weigh. *)
-  let sort_points_opt plan points =
-    (match points with
+  let out_of_range () = invalid_arg "Grid: player id out of range"
+
+  (* Copy points into the arena from slot [i] on; the number of points.
+     More than n points must repeat an id (pigeonhole), so past n only
+     the id is checked. The array entry point below copies with the same
+     loop written out, which a call per point would slow. *)
+  let rec load_from plan i = function
+    | [] -> i
+    | (id, y) :: rest ->
+        if id < 0 || id >= plan.n then out_of_range ();
+        if i < plan.n then begin
+          plan.sc_ids.(i) <- id;
+          plan.sc_ys.(i) <- y
+        end;
+        load_from plan (i + 1) rest
+
+  let load_list plan = function
     | [] -> invalid_arg "Grid: no points"
-    | _ -> ());
-    let ps = List.sort (fun (a, _) (b, _) -> compare a b) points in
-    let rec check prev = function
-      | [] -> true
-      | (i, _) :: rest ->
-          if i < 0 || i >= plan.n then
-            invalid_arg "Grid: player id out of range";
-          i <> prev && check i rest
-    in
-    if check (-1) ps then Some ps else None
+    | points -> load_from plan 0 points
 
-  let sort_points plan points =
-    match sort_points_opt plan points with
-    | Some ps -> ps
-    | None -> invalid_arg "Grid: duplicate player id"
+  (* Sort the [len] loaded points by id — insertion sort: subsets are
+     near-sorted (inbox order) and small, and it allocates nothing — and
+     answer whether their ids are distinct. Degraded networks deliver
+     duplicates, which only the error-correcting fallback knows how to
+     weigh. *)
+  let sort_distinct plan len =
+    len <= plan.n
+    &&
+    let sc_ids = plan.sc_ids and sc_ys = plan.sc_ys in
+    for i = 1 to len - 1 do
+      let id = sc_ids.(i) and y = sc_ys.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && sc_ids.(!j) > id do
+        sc_ids.(!j + 1) <- sc_ids.(!j);
+        sc_ys.(!j + 1) <- sc_ys.(!j);
+        decr j
+      done;
+      sc_ids.(!j + 1) <- id;
+      sc_ys.(!j + 1) <- y
+    done;
+    let distinct = ref true in
+    for i = 0 to len - 2 do
+      if sc_ids.(i) = sc_ids.(i + 1) then distinct := false
+    done;
+    !distinct
 
-  let points_of_ids plan ids =
-    Array.of_list (List.map (fun i -> plan.xs.(i)) ids)
+  (* Load a list of points that must have distinct ids. *)
+  let load_distinct plan points =
+    let len = load_list plan points in
+    if not (sort_distinct plan len) then
+      invalid_arg "Grid: duplicate player id";
+    len
 
-  let weights_for plan ids =
-    match subset_key plan ids with
-    | None -> zero_weights (points_of_ids plan ids)
-    | Some key -> (
-        match Hashtbl.find_opt plan.weights0 key with
-        | Some w -> w
-        | None ->
-            let w = zero_weights (points_of_ids plan ids) in
-            Hashtbl.replace plan.weights0 key w;
-            w)
-
-  (* Extension rows of a subset: Lagrange basis over its first deg + 1
-     ids, evaluated at the remaining ids. Callers guarantee
-     |ids| >= deg + 2. *)
-  let ext_for plan ids =
-    let build () =
-      let arr = Array.of_list ids in
-      let b = plan.deg + 1 in
-      let base = Array.map (fun i -> plan.xs.(i)) (Array.sub arr 0 b) in
-      let extra =
-        Array.map (fun i -> plan.xs.(i))
-          (Array.sub arr b (Array.length arr - b))
-      in
-      basis_rows base extra
-    in
-    match subset_key plan ids with
-    | None -> build ()
-    | Some key -> (
-        match Hashtbl.find_opt plan.exts key with
-        | Some rows -> rows
-        | None ->
-            let rows = build () in
-            Hashtbl.replace plan.exts key rows;
-            rows)
-
-  (* The values of sorted points, as the array [dot] reads. *)
-  let values_of ps =
-    let ys = Array.make (List.length ps) F.zero in
-    List.iteri (fun i (_, y) -> ys.(i) <- y) ps;
-    ys
-
-  let fits_sorted plan ps =
-    let b = plan.deg + 1 in
-    let s = List.length ps in
-    s <= b || rows_fit (ext_for plan (List.map fst ps)) (values_of ps) b (s - b)
-
-  let fits_on plan points =
-    let ps = sort_points plan points in
-    Metrics.tick_interpolation ();
-    fits_sorted plan ps
-
-  let reconstruct_sorted plan ps =
-    let w = weights_for plan (List.map fst ps) in
-    dot w (values_of ps) (Array.length w)
-
-  let reconstruct_zero plan points =
-    let ps = sort_points plan points in
-    Metrics.tick_interpolation ();
-    reconstruct_sorted plan ps
-
-  let reconstruct_zero_checked plan points =
-    Metrics.tick_interpolation ();
-    match sort_points_opt plan points with
-    | None -> None
-    | Some ps ->
-        let b = plan.deg + 1 in
-        if List.length ps < b then None
-        else if not (fits_sorted plan ps) then None
-        else
-          let rec take k = function
-            | p :: rest when k > 0 -> p :: take (k - 1) rest
-            | _ -> []
-          in
-          Some (reconstruct_sorted plan (take b ps))
-
-  (* ---- batch dealing --------------------------------------------- *)
-
-  (* Evaluate a batch of polynomials (degree <= deg each) at all n grid
-     points. With a field batch kernel ({!Field_intf.S.batch_eval}) the
-     arithmetic runs raw under [Metrics.without_counting] and the model
-     cost is ticked in bulk — exactly what the per-poly Horner path
-     performs: n*d mults and n*d adds for a polynomial of normalized
-     degree d >= 1, nothing for constants — so traced runs stay
-     tick-identical to M sequential {!eval_poly} calls. Kernels draw no
-     randomness, so the PRNG stream is untouched either way. *)
-  let eval_poly_batch plan ps =
-    match F.batch_eval with
-    | None -> Array.map (eval_poly plan) ps
-    | Some kernel ->
-        let m = Array.length ps in
-        let css = Array.make m [||] in
-        let total = ref 0 in
-        for j = 0 to m - 1 do
-          let d = P.degree ps.(j) in
-          if d > plan.deg then
-            invalid_arg "Grid.eval_poly: degree exceeds the plan bound";
-          if d >= 1 then total := !total + (plan.n * d);
-          css.(j) <- P.coeffs ps.(j)
-        done;
-        let out = Metrics.without_counting (fun () -> kernel css plan.xs) in
-        Metrics.tick_mults !total;
-        Metrics.tick_adds !total;
-        out
-
-  (* ---- arena reconstruct ------------------------------------------ *)
-
-  (* Array-based twins of the subset-cache lookups: same bitset keys,
-     same built values, so a plan can serve the list and array paths
-     interchangeably. *)
-  let subset_key_arr plan ids len =
-    if plan.n > 62 then None
+  (* [tbl]'s entry for the first [len] arena ids, built by
+     [build plan len] on a miss. The key is the membership bitset, which
+     fits one word for n <= 62 (every deployed grid: of_int player ids
+     cap n well below that in the small fields, and OCaml ints carry 62
+     bits). Larger grids skip the cache rather than the computation. *)
+  let cached tbl build plan len =
+    if plan.n > 62 then build plan len
     else begin
       let key = ref 0 in
       for i = 0 to len - 1 do
-        key := !key lor (1 lsl ids.(i))
+        key := !key lor (1 lsl plan.sc_ids.(i))
       done;
-      Some !key
+      match Hashtbl.find_opt tbl !key with
+      | Some v -> v
+      | None ->
+          let v = build plan len in
+          Hashtbl.replace tbl !key v;
+          v
     end
 
-  let ext_for_arr plan ids len =
-    let build () =
-      let b = plan.deg + 1 in
-      let base = Array.init b (fun i -> plan.xs.(ids.(i))) in
-      let extra = Array.init (len - b) (fun i -> plan.xs.(ids.(b + i))) in
-      basis_rows base extra
-    in
-    match subset_key_arr plan ids len with
-    | None -> build ()
-    | Some key -> (
-        match Hashtbl.find_opt plan.exts key with
-        | Some rows -> rows
-        | None ->
-            let rows = build () in
-            Hashtbl.replace plan.exts key rows;
-            rows)
+  (* Extension rows of the first [len] arena ids: the Lagrange basis
+     over the first deg + 1 of them, at the rest. *)
+  let ext_rows plan len =
+    let b = plan.deg + 1 in
+    basis_rows
+      (Array.init b (fun i -> plan.xs.(plan.sc_ids.(i))))
+      (Array.init (len - b) (fun i -> plan.xs.(plan.sc_ids.(b + i))))
 
-  let weights_for_arr plan ids len =
-    let build () = zero_weights (Array.init len (fun i -> plan.xs.(ids.(i)))) in
-    match subset_key_arr plan ids len with
-    | None -> build ()
-    | Some key -> (
-        match Hashtbl.find_opt plan.weights0 key with
-        | Some w -> w
-        | None ->
-            let w = build () in
-            Hashtbl.replace plan.weights0 key w;
-            w)
+  let weights_of plan len =
+    zero_weights (Array.init len (fun i -> plan.xs.(plan.sc_ids.(i))))
 
-  (* [reconstruct_zero_checked] over parallel arrays, using the plan's
-     scratch arena: same result, same single interpolation tick, same
-     subset-cache keys — but no list churn, no comparator closures, and
-     O(1) minor words on the cache-hit path. Reads the first [len]
-     entries of [ids]/[ys]; the caller's arrays are not modified. Not
-     re-entrant: one reconstruction at a time per plan. *)
+  (* Do the first [len] (sorted, distinct) arena points lie on one
+     degree-<= deg polynomial? At most deg + 1 points fit trivially. *)
+  let arena_fits plan len =
+    let b = plan.deg + 1 in
+    len <= b
+    || rows_fit (cached plan.exts ext_rows plan len) plan.sc_ys b (len - b)
+
+  (* f(0) through the first [len] (sorted, distinct) arena points. *)
+  let arena_zero plan len =
+    dot (cached plan.weights0 weights_of plan len) plan.sc_ys len
+
+  (* The checked reconstruction of [len] loaded points. *)
+  let arena_checked plan len =
+    let b = plan.deg + 1 in
+    if len < b || not (sort_distinct plan len) then None
+    else if not (arena_fits plan len) then None
+    else Some (arena_zero plan b)
+
+  let fits_on plan points =
+    let len = load_distinct plan points in
+    Metrics.tick_interpolation ();
+    arena_fits plan len
+
+  let reconstruct_zero plan points =
+    let len = load_distinct plan points in
+    Metrics.tick_interpolation ();
+    arena_zero plan len
+
+  let reconstruct_zero_checked plan points =
+    Metrics.tick_interpolation ();
+    arena_checked plan (load_list plan points)
+
+  (* ---- array entry point ----------------------------------------- *)
+
+  (* [reconstruct_zero_checked] over parallel arrays: the first [len]
+     entries of [ids]/[ys] are copied into the arena by a direct loop
+     (the caller's arrays are not modified), so the cache-hit path
+     allocates O(1) minor words. *)
   let reconstruct_zero_checked_into plan ~ids ~ys ~len =
     Metrics.tick_interpolation ();
     if len = 0 then invalid_arg "Grid: no points";
-    if len > plan.n then begin
-      (* More points than players: some id repeats (pigeonhole), so the
-         duplicate scan below would answer None — do so directly instead
-         of overflowing the n-sized scratch. Ids are still validated,
-         matching the list twin on malformed input. *)
-      for i = 0 to len - 1 do
-        if ids.(i) < 0 || ids.(i) >= plan.n then
-          invalid_arg "Grid: player id out of range"
-      done;
-      None
-    end
-    else begin
     (* Full-inbox fast path: every player present, in id order — the
        steady state of a fault-free exposure round. The subset is the
        whole grid, so the degree check runs over the plan's own [ext]
@@ -449,40 +377,44 @@ module Make (F : Field_intf.S) = struct
       end
     end
     else begin
-    let sc_ids = plan.sc_ids and sc_ys = plan.sc_ys in
-    for i = 0 to len - 1 do
-      let id = ids.(i) in
-      if id < 0 || id >= plan.n then
-        invalid_arg "Grid: player id out of range";
-      sc_ids.(i) <- id;
-      sc_ys.(i) <- ys.(i)
-    done;
-    (* Insertion sort by id: subsets are near-sorted (inbox order) and
-       small, and this allocates nothing. *)
-    for i = 1 to len - 1 do
-      let id = sc_ids.(i) and y = sc_ys.(i) in
-      let j = ref (i - 1) in
-      while !j >= 0 && sc_ids.(!j) > id do
-        sc_ids.(!j + 1) <- sc_ids.(!j);
-        sc_ys.(!j + 1) <- sc_ys.(!j);
-        decr j
+      let sc_ids = plan.sc_ids and sc_ys = plan.sc_ys in
+      for i = 0 to len - 1 do
+        let id = ids.(i) in
+        if id < 0 || id >= plan.n then out_of_range ();
+        if i < plan.n then begin
+          sc_ids.(i) <- id;
+          sc_ys.(i) <- ys.(i)
+        end
       done;
-      sc_ids.(!j + 1) <- id;
-      sc_ys.(!j + 1) <- y
-    done;
-    let dup = ref false in
-    for i = 0 to len - 2 do
-      if sc_ids.(i) = sc_ids.(i + 1) then dup := true
-    done;
-    let b = plan.deg + 1 in
-    if !dup || len < b then None
-    else begin
-      let ok =
-        len <= b || rows_fit (ext_for_arr plan sc_ids len) sc_ys b (len - b)
-      in
-      if not ok then None
-      else Some (dot (weights_for_arr plan sc_ids b) sc_ys b)
+      arena_checked plan len
     end
-    end
-    end
+
+  (* ---- batch dealing --------------------------------------------- *)
+
+  (* Evaluate a batch of polynomials (degree <= deg each) at all n grid
+     points. With a field batch kernel ({!Field_intf.S.batch_eval}) the
+     arithmetic runs raw under [Metrics.without_counting] and the model
+     cost is ticked in bulk — exactly what the per-poly Horner path
+     performs: n*d mults and n*d adds for a polynomial of normalized
+     degree d >= 1, nothing for constants — so traced runs stay
+     tick-identical to M sequential {!eval_poly} calls. Kernels draw no
+     randomness, so the PRNG stream is untouched either way. *)
+  let eval_poly_batch plan ps =
+    match F.batch_eval with
+    | None -> Array.map (eval_poly plan) ps
+    | Some kernel ->
+        let m = Array.length ps in
+        let css = Array.make m [||] in
+        let total = ref 0 in
+        for j = 0 to m - 1 do
+          let d = P.degree ps.(j) in
+          if d > plan.deg then
+            invalid_arg "Grid.eval_poly: degree exceeds the plan bound";
+          if d >= 1 then total := !total + (plan.n * d);
+          css.(j) <- P.coeffs ps.(j)
+        done;
+        let out = Metrics.without_counting (fun () -> kernel css plan.xs) in
+        Metrics.tick_mults !total;
+        Metrics.tick_adds !total;
+        out
 end

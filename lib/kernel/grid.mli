@@ -27,6 +27,11 @@
       reconstruction under missing or faulty shares (the subset of
       trusted senders repeats across coins of a batch).
 
+    The subset operations, list and array entry points alike, run on
+    one core: points are loaded into a scratch arena inside the plan
+    (every id checked), sorted and checked for duplicates there, and
+    read against those caches. Not re-entrant: one at a time per plan.
+
     All kernels compute exactly the same field elements as the naive
     {!Poly} paths (fields are exact; only the association order
     differs, property-tested in [test/test_kernel.ml]), and tick
@@ -55,8 +60,8 @@ module Make (F : Field_intf.S) : sig
 
   val dot : F.t array -> F.t array -> int -> F.t
   (** [dot a b len] is [a.(0) b.(0) + ... + a.(len - 1) b.(len - 1)]:
-      the one fixed-row product behind {!fits}, {!interpolate_checked},
-      the reconstructions and their list twins. It ticks [len] mults and
+      the one fixed-row product behind {!fits}, {!interpolate_checked}
+      and the subset operations. It ticks [len] mults and
       [len] adds, what accumulating [F.mul] products with [F.add] from
       zero ticks. With the field's {!Field_intf.S.dot} kernel the sum is
       formed raw and those ticks are paid in bulk; without one it is
@@ -91,22 +96,24 @@ module Make (F : Field_intf.S) : sig
   (** Subset variant: the points [(player, value)] (distinct players)
       lie on a degree-[<= t] polynomial. Subsets of size [<= t + 1]
       fit trivially. Extension rows are cached per subset. Ticks one
-      interpolation. *)
+      interpolation. @raise Invalid_argument on no points, an id out of
+      range or a repeated id. *)
 
   val reconstruct_zero : t -> (int * F.t) list -> F.t
   (** Interpolate [f(0)] through the given [(player, value)] points
       (distinct players; no degree check — all points are used, like
       {!Poly.Make.interpolate_at} at zero). Weights are cached per
-      subset. Ticks one interpolation. *)
+      subset. Ticks one interpolation. @raise Invalid_argument as
+      {!fits_on}. *)
 
   val reconstruct_zero_checked : t -> (int * F.t) list -> F.t option
   (** Combined degree check and reconstruction, ticking one
       interpolation total: [Some f(0)] when all points lie on one
       degree-[<= t] polynomial [f] (at least [t + 1] points required),
       [None] otherwise — including when two points share a player id
-      (degraded networks deliver duplicates). This is the Coin-Expose
-      fast path; a [None] means some share is faulty or duplicated and
-      an error-correcting decoder must take over. *)
+      (degraded networks deliver duplicates). A [None] means some share
+      is faulty or duplicated and an error-correcting decoder must take
+      over. @raise Invalid_argument on no points or an id out of range. *)
 
   val eval_poly_batch : t -> P.t array -> F.t array array
   (** Deal a batch: evaluate [M] polynomials (each of degree [<= t]) at
@@ -123,9 +130,10 @@ module Make (F : Field_intf.S) : sig
     t -> ids:int array -> ys:F.t array -> len:int -> F.t option
   (** {!reconstruct_zero_checked} over parallel arrays — the first
       [len] entries of [ids]/[ys], in any order, caller's arrays left
-      untouched — using a scratch arena inside the plan: no
-      intermediate lists, no sort closures, O(1) minor-heap allocation
-      on the subset-cache hit path. Same result, same single
-      interpolation tick, same cache keys as the list version. Not
-      re-entrant: one reconstruction at a time per plan. *)
+      untouched — the Coin-Expose fast path. The points are copied into
+      the arena by a direct loop, so the subset-cache hit path
+      allocates O(1) minor words. A full grid in id order (every player
+      present: a fault-free exposure) skips the arena and reads the
+      plan's own extension rows. Same result and single interpolation
+      tick as the list entry point. *)
 end

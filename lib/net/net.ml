@@ -249,9 +249,6 @@ let with_plan plan f =
 
 let current_plan () = !ambient_plan
 
-let retransmit_budget () =
-  match !ambient_plan with None -> 0 | Some p -> Plan.retransmits p
-
 (* A carrier is the physical message-moving layer under a network: the
    coordinator still decides every fault, ordering and metric outcome,
    but each surviving message is [post]ed to the carrier when it enters
@@ -304,10 +301,10 @@ type 'msg t = {
      carrier so delivery can match physical frames back to the
      coordinator's queue entries. *)
   mutable next_uid : int;
-  (* Messages enqueued since the last delivery / in the last delivered
-     round. On a pristine net, where drivers send at most once per
-     (src, dst) pair, [last_enqueued = n * n] proves the round was
-     complete — the O(1) fast path behind {!complete_last_round}. *)
+  (* Messages enqueued since the last delivery / in the last round
+     delivered from the store. A stored round holds at most one message
+     per link, so [last_enqueued = n * n] proves it complete: the O(1)
+     answer of {!Inbox.silent}. *)
   mutable enqueued : int;
   mutable last_enqueued : int;
   (* A pristine net (no plan, no carrier) cannot drop, delay, duplicate
@@ -347,8 +344,6 @@ let create ?carrier ?codec ~n ~byte_size () =
     store_sizes = [||];
     spilled = false;
   }
-
-let n t = t.n
 
 let check_id t label i =
   if i < 0 || i >= t.n then
@@ -480,40 +475,6 @@ let send_to_all t ~src f =
       send t ~src ~dst (f dst)
     done
 
-(* Attribution helper for the sentinel ledger: how many receivers ended
-   an exchange with no copy at all from each sender. Under a bounded
-   envelope with rt >= 1 an honest live sender's final copy always
-   lands, so only crashed receivers (at most t of them) can miss it —
-   persistent absence at t + 1 or more receivers is attributable to the
-   sender, not the links. Pure integer bookkeeping: no field ops, no
-   randomness. *)
-let absent_counts ?(unique_senders = false) ~n inboxes =
-  let missing = Array.make n 0 in
-  (* Fast path for the hot exposure loop: when each inbox is known to
-     hold at most one entry per sender — pristine nets (drivers send
-     once per round) or merged retransmit envelopes (deduped by
-     construction) — [n] full inboxes prove nobody is absent, and the
-     per-sender walk is skipped entirely. *)
-  if
-    unique_senders
-    && Array.for_all (fun ib -> List.compare_length_with ib n = 0) inboxes
-  then missing
-  else begin
-    (* Epoch marking: [seen.(src) = i] means inbox [i] heard from [src],
-       so one scratch array serves every inbox without reallocation. *)
-    let seen = Array.make n (-1) in
-    Array.iteri
-      (fun i inbox ->
-        List.iter
-          (fun (src, _) -> if src >= 0 && src < n then seen.(src) <- i)
-          inbox;
-        for src = 0 to n - 1 do
-          if seen.(src) <> i then missing.(src) <- missing.(src) + 1
-        done)
-      inboxes;
-    missing
-  end
-
 module Inbox = struct
   type 'msg net = 'msg t
 
@@ -555,18 +516,35 @@ module Inbox = struct
             done;
             !l)
 
-  let absent_counts ?unique_senders ~n = function
-    | Lists a -> absent_counts ?unique_senders ~n a
+  (* The senders that at least [at_least] of the [n] receivers heard
+     nothing from, ascending, by an epoch-marking walk: [seen.(src) =
+     dst] means [dst] heard from [src], so one scratch array serves
+     every inbox. *)
+  let walk_silent inbox ~n ~at_least =
+    let absent = Array.make n 0 and seen = Array.make n (-1) in
+    for dst = 0 to n - 1 do
+      fold inbox ~dst
+        (fun src _ () -> if src >= 0 && src < n then seen.(src) <- dst)
+        ();
+      for src = 0 to n - 1 do
+        if seen.(src) <> dst then absent.(src) <- absent.(src) + 1
+      done
+    done;
+    List.filter (fun src -> absent.(src) >= at_least) (List.init n Fun.id)
+
+  (* A stored round holds at most one message per link, so one with n^2
+     messages has no silent sender and is answered without allocating;
+     any other round is walked. Pure integer bookkeeping: no field ops,
+     no randomness. *)
+  let silent inbox ~at_least =
+    if at_least < 1 then
+      invalid_arg "Net.Inbox.silent: at_least must be >= 1";
+    match inbox with
     | Store (net, r) ->
         current net r;
-        let missing = Array.make n 0 in
-        for dst = 0 to net.n - 1 do
-          for src = 0 to net.n - 1 do
-            if net.store_round.((dst * net.n) + src) <> r then
-              missing.(src) <- missing.(src) + 1
-          done
-        done;
-        missing
+        if net.last_enqueued = net.n * net.n then []
+        else walk_silent inbox ~n:net.n ~at_least
+    | Lists a -> walk_silent inbox ~n:(Array.length a) ~at_least
 end
 
 (* The barrier of a round held in the store: the same receive events, in
@@ -738,7 +716,6 @@ let deliver_queues t =
             Trace.event (fun () -> Trace.Recv { src; dst; bytes }))
           msgs)
       tagged;
-  t.last_enqueued <- t.enqueued;
   t.enqueued <- 0;
   inbox
 
@@ -754,15 +731,6 @@ let deliver_inbox t =
 
 let deliver t = Inbox.to_lists (deliver_inbox t)
 let rounds_elapsed t = t.rounds
-
-(* O(1) completeness certificate for the sentinel's silence tally: with
-   no fault plan installed nothing is ever dropped, delayed or
-   duplicated, so — given the driver discipline of at most one send per
-   (src, dst) pair per round — [n * n] enqueued messages mean every
-   sender reached every receiver. Under a plan this conservatively
-   answers [false] and callers take the full per-sender walk. *)
-let complete_last_round t =
-  Option.is_none t.plan && t.last_enqueued = t.n * t.n
 
 (* A retransmit envelope: run the same synchronous send round
    [retransmits + 1] times and merge the inboxes, keeping the latest

@@ -155,11 +155,6 @@ val with_plan : Plan.t -> (unit -> 'a) -> 'a
 
 val current_plan : unit -> Plan.t option
 
-val retransmit_budget : unit -> int
-(** The ambient plan's retransmit budget, [0] when no plan is
-    installed. Broadcast-channel layers use this to size their own
-    retransmit loops. *)
-
 (** {1 Carriers}
 
     The network separates {e deciding} what happens to a message (fault
@@ -230,8 +225,6 @@ val create :
     a physical message-moving backend; omitted, the network is the
     in-memory simulator. *)
 
-val n : _ t -> int
-
 val send : 'msg t -> src:int -> dst:int -> 'msg -> unit
 (** Queue a message for delivery at the next {!deliver}. Sending to
     oneself is allowed (and free: self-messages are not counted as
@@ -299,9 +292,20 @@ module Inbox : sig
   val to_lists : 'msg t -> (int * 'msg) list array
   (** The inboxes as {!exchange} returns them. *)
 
-  val absent_counts : ?unique_senders:bool -> n:int -> _ t -> int array
-  (** {!Net.absent_counts} of {!to_lists}, read off the presence marks
-      for a round held in the store. *)
+  val silent : _ t -> at_least:int -> int list
+  (** [silent inbox ~at_least] lists, ascending, the senders that at
+      least [at_least] receivers got {e no} copy from in this round
+      (for {!exchange}, in its merged inboxes). A round read in place
+      that delivered all [n * n] messages answers [[]] with no walk and
+      no allocation; any other round is walked once. Drivers pass
+      [t + 1] and feed the answer to the sentinel ledger as [Silent]
+      evidence: with a retransmit budget the envelope delivers every
+      honest live sender's final copy, so only crashed receivers — at
+      most [t] — can miss it, and absence at [t + 1] receivers is
+      attributable to the sender rather than to link noise. Pure
+      integer bookkeeping (no field ops, no randomness).
+
+      @raise Invalid_argument if [at_least < 1]. *)
 end
 
 val exchange_inbox : 'msg t -> send:(unit -> unit) -> 'msg Inbox.t
@@ -310,30 +314,6 @@ val exchange_inbox : 'msg t -> send:(unit -> unit) -> 'msg Inbox.t
     [Inbox.to_lists (exchange_inbox net ~send)]. *)
 
 val rounds_elapsed : _ t -> int
-
-val complete_last_round : _ t -> bool
-(** O(1) completeness certificate for the last delivered round: true
-    iff the net runs with {e no} fault plan and exactly [n * n]
-    messages were enqueued — which, under the driver discipline of at
-    most one send per (src, dst) pair per round, proves every sender
-    reached every receiver, so the sentinel's silence tally can skip
-    its per-sender walk. Conservative: under any fault plan it answers
-    [false] and callers must fall back to {!absent_counts}. *)
-
-val absent_counts :
-  ?unique_senders:bool -> n:int -> (int * 'msg) list array -> int array
-(** [absent_counts ~n inboxes] counts, per sender, how many of the [n]
-    receivers got {e no} copy from it in the merged inboxes of one
-    {!exchange}. [unique_senders] (default false) asserts each inbox
-    holds at most one entry per sender — true for pristine nets and for
-    merged retransmit envelopes ([rt >= 1]), which dedup by
-    construction — enabling a length-only fast path on the hot
-    exposure loop. Drivers feed counts of [t + 1] or more to the sentinel
-    ledger as [Silent] evidence: with a retransmit budget the envelope
-    delivers every honest live sender's final copy, so only crashed
-    receivers — at most [t] — can miss it, and persistent absence at
-    [t + 1] receivers is attributable to the sender rather than to link
-    noise. Pure integer bookkeeping (no field ops, no randomness). *)
 
 (** {1 Fault sets} *)
 

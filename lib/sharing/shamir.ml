@@ -61,10 +61,6 @@ module Make (F : Field_intf.S) = struct
       shares;
     P.interpolate_at_arrays ~xs ~ys F.zero
 
-  let reconstruct_with plan shares =
-    if shares = [] then invalid_arg "Shamir.reconstruct_with: no shares";
-    G.reconstruct_zero plan shares
-
   let robust_reconstruct ~t shares =
     let m = List.length shares in
     (* (m - t - 1) / 2 truncates toward zero, so at m = t it is 0, not

@@ -56,11 +56,9 @@ module Make (F : Field_intf.S) : sig
   (** [reconstruct shares] interpolates [f(0)] from [(player, share)]
       pairs; callers supply at least [t+1] shares from distinct
       players. All supplied shares are used, so a corrupted share
-      corrupts the output — use {!robust_reconstruct} against faults. *)
-
-  val reconstruct_with : G.t -> (int * F.t) list -> F.t
-  (** Plan-aware {!reconstruct}: Lagrange-at-zero weights for the
-      share subset come from the plan's per-subset cache. *)
+      corrupts the output — use {!robust_reconstruct} against faults.
+      Through a session plan, {!G.reconstruct_zero} computes the same
+      value from cached weights. *)
 
   val robust_reconstruct :
     t:int -> (int * F.t) list -> (F.t * (int * F.t) list) option

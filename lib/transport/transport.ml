@@ -142,8 +142,6 @@ module Plan = Net.Plan
 module Faults = Net.Faults
 
 let with_plan = Net.with_plan
-let current_plan = Net.current_plan
-let retransmit_budget = Net.retransmit_budget
 
 (* ------------------- Supervision and chaos wiring ----------------- *)
 
@@ -316,14 +314,9 @@ let create ?codec ~n ~byte_size () =
         ~carrier:(carrier session.backend c (group session ~n))
         ?codec ~n ~byte_size ()
 
-let n = Net.n
 let send = Net.send
 let send_to_all = Net.send_to_all
-let deliver = Net.deliver
 let exchange = Net.exchange
-let rounds_elapsed = Net.rounds_elapsed
-let complete_last_round = Net.complete_last_round
-let absent_counts = Net.absent_counts
 
 module Inbox = Net.Inbox
 

@@ -1,7 +1,7 @@
 (** Pluggable transport under the synchronous protocol drivers.
 
     Protocol code talks to {e this} module — never to {!Net} directly —
-    and gets the same synchronous API ({!create}, {!send}, {!deliver},
+    and gets the same synchronous API ({!create}, {!send}, {!send_to_all},
     {!exchange}, {!broadcast_round}, the fault-plan surface) over one of
     three interchangeable backends:
 
@@ -136,8 +136,6 @@ module Plan = Net.Plan
 module Faults = Net.Faults
 
 val with_plan : Plan.t -> (unit -> 'a) -> 'a
-val current_plan : unit -> Plan.t option
-val retransmit_budget : unit -> int
 
 (** {1 Networks}
 
@@ -160,22 +158,18 @@ val create :
     encoding, otherwise [Marshal] is used. [byte_size] runs only while
     counting or tracing ({!Net.observed_size}) and must be pure. *)
 
-val n : _ conn -> int
 val send : 'msg conn -> src:int -> dst:int -> 'msg -> unit
 val send_to_all : 'msg conn -> src:int -> (int -> 'msg) -> unit
-val deliver : 'msg conn -> (int * 'msg) list array
 val exchange : 'msg conn -> send:(unit -> unit) -> (int * 'msg) list array
-val rounds_elapsed : _ conn -> int
-val complete_last_round : _ conn -> bool
-
-val absent_counts :
-  ?unique_senders:bool -> n:int -> (int * 'msg) list array -> int array
 
 (** {2 Reading a round in place}
 
-    {!Net.Inbox}: a round of a pristine [Sim] net is read straight from
-    the net's dense store. The [Domains] and [Socket] carriers and fault
-    plans always hold lists, so the same reader serves every backend. *)
+    {!Net.Inbox}: the one reader of a delivered round, for its inboxes
+    ({!Net.Inbox.fold}) and for its absence evidence
+    ({!Net.Inbox.silent}). A round of a pristine [Sim] net is read
+    straight from the net's dense store. The [Domains] and [Socket]
+    carriers and fault plans always hold lists, so the same reader
+    serves every backend. *)
 
 module Inbox = Net.Inbox
 

@@ -1,9 +1,10 @@
 (* Differential tests pinning the batch kernels to their reference
    twins: field batch_eval vs per-point Horner, batch dealing vs
    sequential dealing (values, ticks and PRNG stream), bit-sliced wide
-   multiplication vs schoolbook, the arena reconstruct vs the list
-   reconstruct, and the optimized Coin-Expose [run] vs [run_reference]
-   (values, ticks, traces and ledger evidence). *)
+   multiplication vs schoolbook, the subset reconstruction's array and
+   list entry points vs plain interpolation and the degree check, and
+   Coin-Expose [run] vs the list-based [Coin_expose_reference] (values,
+   ticks, traces and ledger evidence). *)
 
 module Q97 = Zq_table.Make (struct let q = 97 end)
 
@@ -157,7 +158,7 @@ let test_sliced_and_karatsuba () =
   S128.run 302;
   S256.run 303
 
-(* ---- arena reconstruct = list reconstruct ------------------------- *)
+(* ---- array entry point = list entry point ------------------------- *)
 
 module F16 = Gf2k.GF16
 module S16 = Shamir.Make (F16)
@@ -167,13 +168,13 @@ let same_opt = function
   | None, None -> true
   | _ -> false
 
-(* Run both twins under counting and require identical answers and
-   identical tick vectors. Each twin runs once uncounted first: ticks
+(* Run both entry points under counting and require identical answers
+   and identical tick vectors. Each runs once uncounted first: ticks
    are history-dependent (a subset's basis rows and weights are built,
-   and ticked, on first use and cached after), and the two paths pay
-   their one-time builds at different moments — the plan builds its
-   full-grid rows at construction, the list twin on first use — so the
-   pinned contract is steady-state parity. *)
+   and ticked, on first use and cached after), and the array entry
+   point's full-grid fast path reads rows the plan built at
+   construction, while the shared subset core builds them on first use
+   — so the pinned contract is steady-state parity. *)
 let both name plan ~ids ~ys ~len =
   let points = List.init len (fun i -> (ids.(i), ys.(i))) in
   ignore (S16.G.reconstruct_zero_checked_into plan ~ids ~ys ~len);
@@ -246,10 +247,75 @@ let test_arena_reconstruct_matches_list () =
         (S16.G.reconstruct_zero_checked_into plan ~ids:[| 0; 13 |]
            ~ys:[| secret; secret |] ~len:2))
 
-(* ---- Coin-Expose: run = run_reference ----------------------------- *)
+(* ---- subset entry points = plain interpolation -------------------- *)
+
+(* The array entry point and the list entry points run on one arena
+   core, so both are pinned to the plain paths directly: a checked
+   reconstruction is [Some] of [Poly.interpolate_at] at zero exactly
+   when the ids are distinct, there are at least t + 1 points and
+   [Poly.fits_degree] holds; [fits_on] is [fits_degree] and
+   [reconstruct_zero] is [interpolate_at] over distinct points. Subsets
+   fit, carry one corrupted share, or repeat one player (up to n + 1
+   points), sorted (a full sorted grid takes the array fast path) or
+   shuffled. In the steady state the two checked entry points tick
+   alike. *)
+let prop_subset_entry_points =
+  let module P = S16.P in
+  QCheck.Test.make ~count:300
+    ~name:"subset entry points = interpolate_at and fits_degree"
+    QCheck.(
+      pair (triple small_nat (int_range 1 13) (int_range 0 12)) (int_range 0 5))
+    (fun ((seed, n, t), kind) ->
+      let t = t mod n in
+      let plan = S16.grid ~n ~t in
+      let g = Prng.of_int seed in
+      let shares = S16.deal_with plan g ~secret:(F16.random g) in
+      let ids = Array.of_list (Prng.sample_distinct g (1 + Prng.int g n) n) in
+      if kind >= 3 then Prng.shuffle g ids;
+      let ys = Array.map (fun i -> shares.(i)) ids in
+      let k = Prng.int g (Array.length ids) in
+      let ids, ys =
+        match kind mod 3 with
+        | 0 -> (ids, ys)
+        | 1 ->
+            ys.(k) <- F16.add ys.(k) F16.one;
+            (ids, ys)
+        | _ ->
+            let y = if Prng.bool g then ys.(k) else F16.add ys.(k) F16.one in
+            (Array.append ids [| ids.(k) |], Array.append ys [| y |])
+      in
+      let len = Array.length ids in
+      let points = List.init len (fun i -> (ids.(i), ys.(i))) in
+      let distinct =
+        List.length (List.sort_uniq compare (Array.to_list ids)) = len
+      in
+      let plain = List.map (fun (i, y) -> (S16.eval_point i, y)) points in
+      let fits = distinct && P.fits_degree plain ~max_degree:t in
+      let expected =
+        if distinct && len >= t + 1 && fits then
+          Some (P.interpolate_at plain F16.zero)
+        else None
+      in
+      let array () = S16.G.reconstruct_zero_checked_into plan ~ids ~ys ~len in
+      let list () = S16.G.reconstruct_zero_checked plan points in
+      (* one uncounted call each builds the subset's cached rows *)
+      ignore (array ());
+      ignore (list ());
+      let _, array_ticks = Metrics.with_counting array in
+      let _, list_ticks = Metrics.with_counting list in
+      same_opt (array (), expected)
+      && same_opt (list (), expected)
+      && array_ticks = list_ticks
+      && ((not distinct)
+         || S16.G.fits_on plan points = fits
+            && F16.equal (S16.G.reconstruct_zero plan points)
+                 (P.interpolate_at plain F16.zero)))
+
+(* ---- Coin-Expose: run = reference -------------------------------- *)
 
 module C16 = Sealed_coin.Make (F16)
 module CE16 = Coin_expose.Make (F16)
+module Ref16 = Coin_expose_reference.Make (F16)
 
 let expose_behaviors : (string * (int -> CE16.sender_behavior) option) list =
   [
@@ -282,23 +348,23 @@ let test_run_matches_reference () =
       (* warm the plan's subset caches so the counted runs compare
          steady-state ticks (cache builds are one-time and land in
          whichever path runs first) *)
-      ignore (CE16.run_reference ?sender_behavior coin);
+      ignore (Ref16.run ?sender_behavior coin);
       ignore (CE16.run ?sender_behavior coin);
       (* values and ticks *)
       let a, sa =
         Metrics.with_counting (fun () ->
-            CE16.run_reference ?sender_behavior coin)
+            Ref16.run ?sender_behavior coin)
       in
       let b, sb =
         Metrics.with_counting (fun () -> CE16.run ?sender_behavior coin)
       in
       if not (same_results a b) then
-        Alcotest.failf "%s: run and run_reference decode differently" name;
+        Alcotest.failf "%s: run and the reference decode differently" name;
       if sa <> sb then
-        Alcotest.failf "%s: run and run_reference tick differently" name;
+        Alcotest.failf "%s: run and the reference tick differently" name;
       (* trace parity: same events, in order *)
       let a', ta =
-        Trace.collect (fun () -> CE16.run_reference ?sender_behavior coin)
+        Trace.collect (fun () -> Ref16.run ?sender_behavior coin)
       in
       let b', tb = Trace.collect (fun () -> CE16.run ?sender_behavior coin) in
       if not (same_results a' b') then
@@ -309,13 +375,13 @@ let test_run_matches_reference () =
           (Trace.all_events tr)
       in
       if render ta <> render tb then
-        Alcotest.failf "%s: run and run_reference trace differently" name;
+        Alcotest.failf "%s: run and the reference trace differently" name;
       (* evidence parity under an active ledger *)
       let l1 = Sentinel.Ledger.create ~config:(Sentinel.active ()) ~n () in
       let l2 = Sentinel.Ledger.create ~config:(Sentinel.active ()) ~n () in
       let a'' =
         Sentinel.with_ledger l1 (fun () ->
-            CE16.run_reference ?sender_behavior coin)
+            Ref16.run ?sender_behavior coin)
       in
       let b'' =
         Sentinel.with_ledger l2 (fun () -> CE16.run ?sender_behavior coin)
@@ -366,4 +432,5 @@ let suite =
       test_run_matches_reference;
     Alcotest.test_case "traced pool draws are unperturbed" `Quick
       test_pool_traced_parity;
+    QCheck_alcotest.to_alcotest ~long:false prop_subset_entry_points;
   ]

@@ -511,30 +511,32 @@ let test_recovery_degrades_on_starvation () =
 
 (* --- the crash-point harness ---------------------------------------- *)
 
+module Harness = Beacon_crash_harness.Make (F)
+
 let test_harness_sweep () =
   in_scratch "harness" @@ fun dir ->
-  let seed = 42 in
-  let mk_fresh () = BC.create ~key:"harness-key" ~pool:(mk_pool seed) () in
+  let seed = 42 and key = "harness-key" in
+  let mk_fresh () = BC.create ~key ~pool:(mk_pool seed) () in
   let mk_restore bytes =
-    BC.load ~key:"harness-key" ~prng:(Prng.of_int seed) ~batch_size:16
-      ~refill_threshold:3 bytes
+    BC.load ~key ~prng:(Prng.of_int seed) ~batch_size:16 ~refill_threshold:3
+      bytes
   in
   match
-    BC.Harness.run ~epochs:3 ~requests:2 ~snapshot_every:2 ~stride:7
+    Harness.run ~epochs:3 ~requests:2 ~snapshot_every:2 ~stride:7 ~key
       ~mk_fresh ~mk_restore ~dir ()
   with
   | Error msg -> Alcotest.failf "harness found a violation: %s" msg
   | Ok r ->
       Alcotest.(check bool)
-        (Printf.sprintf "swept real crash points (%d)" r.BC.Harness.points)
+        (Printf.sprintf "swept real crash points (%d)" r.Harness.points)
         true
-        (r.BC.Harness.points > 0);
+        (r.Harness.points > 0);
       Alcotest.(check bool)
-        (Printf.sprintf "crashes actually fired (%d)" r.BC.Harness.crashes)
+        (Printf.sprintf "crashes actually fired (%d)" r.Harness.crashes)
         true
-        (r.BC.Harness.crashes > 0);
+        (r.Harness.crashes > 0);
       Alcotest.(check int) "every run converged to the full chain" 3
-        r.BC.Harness.epochs
+        r.Harness.epochs
 
 let suite =
   [

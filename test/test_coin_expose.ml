@@ -214,6 +214,48 @@ let test_exposure_allocation () =
   words "no ledger" (fun () -> CE.run coin);
   words "passive ledger" (fun () -> Sentinel.with_ledger ledger (fun () -> CE.run coin))
 
+(* Known answers for the Lagrange ablation: the MD5 of every player's
+   result under four sender mixes (honest, one silent, one liar sending
+   a constant, one equivocator) at n = 7 and n = 13. The faulty senders
+   sit among the lowest ids, so they fall inside the first t + 1
+   trusted shares the ablation interpolates through. *)
+let test_lagrange_known_answers () =
+  let mixes =
+    [
+      None;
+      Some (fun i -> if i = 0 then CE.Silent else CE.Honest);
+      Some (fun i -> if i = 1 then CE.Send F.one else CE.Honest);
+      Some
+        (fun i ->
+          if i = 0 then
+            CE.Equivocate
+              (fun dst -> if dst mod 2 = 0 then Some F.one else None)
+          else CE.Honest);
+    ]
+  in
+  List.iter
+    (fun (n, t, seed, expected) ->
+      let coin = C.dealer_coin (Prng.of_int seed) ~n ~t in
+      let buf = Buffer.create 256 in
+      List.iter
+        (fun sender_behavior ->
+          Array.iter
+            (function
+              | None -> Buffer.add_string buf "-;"
+              | Some v ->
+                  Buffer.add_string buf (Printf.sprintf "%d;" (F.repr v)))
+            (CE.run_lagrange ?sender_behavior coin);
+          Buffer.add_char buf '|')
+        mixes;
+      Alcotest.(check string)
+        (Printf.sprintf "n=%d results" n)
+        expected
+        (Digest.to_hex (Digest.string (Buffer.contents buf))))
+    [
+      (7, 1, 707, "4c7c97a4507276d2fa501825cbdedfc5");
+      (13, 2, 1313, "5f96e6bd3a4a1657e589feaef0b9d16a");
+    ]
+
 let suite =
   [
     Alcotest.test_case "dealer coin exposes to truth" `Quick
@@ -228,4 +270,6 @@ let suite =
       test_store_matches_list_path;
     Alcotest.test_case "honest n=13 exposure allocates <= 1000 words" `Quick
       test_exposure_allocation;
+    Alcotest.test_case "run_lagrange known answers" `Quick
+      test_lagrange_known_answers;
   ]

@@ -452,47 +452,63 @@ let test_sizing_only_when_observed () =
 type round_view = {
   lists : (int * string) list array;
   folded : (int * string) list array;
-  absent : int array;
-  complete : bool;
+  silent : int list list;  (** [Inbox.silent] at thresholds 1..n *)
 }
+
+(* One random round's sends; the first round of a net is complete (every
+   sender announces), so the n^2 count answer is exercised too. *)
+let random_round g ~n ~round net =
+  for src = 0 to n - 1 do
+    match if round = 0 then 1 else Prng.int g 5 with
+    | 0 -> ()
+    | 1 -> Net.send_to_all net ~src (fun _ -> Printf.sprintf "a%d.%d" round src)
+    | _ ->
+        for dst = 0 to n - 1 do
+          if Prng.int g 5 > 0 then
+            Net.send net ~src ~dst (Printf.sprintf "m%d.%d>%d" round src dst)
+        done
+  done;
+  if Prng.int g 3 = 0 then
+    Net.send net ~src:(Prng.int g n) ~dst:(Prng.int g n) "again"
+
+(* The senders that at least [at_least] receivers have no entry from,
+   counted receiver by receiver. *)
+let naive_silent lists ~at_least =
+  List.filter
+    (fun src ->
+      Array.fold_left
+        (fun k l -> if List.mem_assoc src l then k else k + 1)
+        0 lists
+      >= at_least)
+    (List.init (Array.length lists) Fun.id)
+
+let silent_at_every_threshold tag inbox =
+  let lists = Net.Inbox.to_lists inbox in
+  List.init (Array.length lists) (fun k ->
+      let at_least = k + 1 in
+      let silent = Net.Inbox.silent inbox ~at_least in
+      Alcotest.(check (list int))
+        (Printf.sprintf "%s: silent at %d" tag at_least)
+        (naive_silent lists ~at_least) silent;
+      silent)
 
 let store_rounds ~n seed net =
   let g = Prng.of_int seed in
   List.init 6 (fun round ->
-      let sent = ref 0 in
-      let send () =
-        for src = 0 to n - 1 do
-          match Prng.int g 5 with
-          | 0 -> ()
-          | 1 ->
-              Net.send_to_all net ~src (fun _ -> Printf.sprintf "a%d.%d" round src);
-              sent := !sent + n
-          | _ ->
-              for dst = 0 to n - 1 do
-                if Prng.int g 5 > 0 then begin
-                  Net.send net ~src ~dst (Printf.sprintf "m%d.%d>%d" round src dst);
-                  incr sent
-                end
-              done
-        done;
-        if Prng.int g 3 = 0 then begin
-          Net.send net ~src:(Prng.int g n) ~dst:(Prng.int g n) "again";
-          incr sent
-        end
-      in
-      let view =
+      let send () = random_round g ~n ~round net in
       if round mod 2 = 0 then begin
         let lists = Net.exchange net ~send in
         {
           lists;
           folded = lists;
-          absent = Net.absent_counts ~n lists;
-          complete = Net.complete_last_round net;
+          silent = List.init n (fun k -> naive_silent lists ~at_least:(k + 1));
         }
       end
       else begin
         let inbox = Net.exchange_inbox net ~send in
-        let absent = Net.Inbox.absent_counts ~n inbox in
+        let silent =
+          silent_at_every_threshold (Printf.sprintf "round %d" round) inbox
+        in
         let folded =
           Array.init n (fun dst ->
               List.rev
@@ -504,10 +520,8 @@ let store_rounds ~n seed net =
             if List.length l > Net.Inbox.max_length inbox then
               Alcotest.fail "an inbox is longer than Inbox.max_length")
           lists;
-        { lists; folded; absent; complete = Net.complete_last_round net }
-      end
-      in
-      (view, !sent))
+        { lists; folded; silent }
+      end)
 
 let test_store_matches_queues () =
   let empty_plan () = Net.Plan.make ~seed:5 () in
@@ -525,15 +539,14 @@ let test_store_matches_queues () =
       let tag = Printf.sprintf "%s seed=%d n=%d" label seed n in
       Alcotest.(check string) (tag ^ ": costs and trace") q_obs p_obs;
       List.iteri
-        (fun round (((p : round_view), sent), ((q : round_view), _)) ->
+        (fun round ((p : round_view), (q : round_view)) ->
           let tag = Printf.sprintf "%s round %d" tag round in
           let inboxes = Alcotest.(array (list (pair int string))) in
           Alcotest.check inboxes (tag ^ ": inboxes") q.lists p.lists;
           Alcotest.check inboxes (tag ^ ": folded inboxes") q.folded p.folded;
           Alcotest.check inboxes (tag ^ ": fold = lists") p.lists p.folded;
-          Alcotest.(check (array int)) (tag ^ ": absent counts") q.absent p.absent;
-          Alcotest.(check bool) (tag ^ ": complete iff n^2 sends") (sent = n * n) p.complete;
-          Alcotest.(check bool) (tag ^ ": never complete under a plan") false q.complete)
+          Alcotest.(check (list (list int)))
+            (tag ^ ": silent senders") q.silent p.silent)
         (List.combine pristine queued)
     done
   in
@@ -545,6 +558,57 @@ let test_store_matches_queues () =
   observe "traced" (fun f ->
       let v, trace = Trace.collect f in
       (v, Fmt.str "%a" Trace.pp_jsonl trace))
+
+(* [Inbox.silent] against the naive count on rounds that differ from
+   the pristine ones: lossy single-attempt rounds (drops, duplicates, a
+   crash window) and rounds merged by a retransmit envelope. *)
+let test_silent_on_faulty_rounds () =
+  List.iter
+    (fun (label, plan) ->
+      for seed = 1 to 30 do
+        let n = 1 + (seed mod 7) in
+        Net.with_plan (plan seed) @@ fun () ->
+        let net = Net.create ~codec:str_codec ~n ~byte_size:String.length () in
+        let g = Prng.of_int seed in
+        for round = 0 to 5 do
+          let send () = random_round g ~n ~round net in
+          let inbox = Net.exchange_inbox net ~send in
+          ignore
+            (silent_at_every_threshold
+               (Printf.sprintf "%s seed=%d n=%d round %d" label seed n round)
+               inbox)
+        done
+      done)
+    [
+      ( "lossy",
+        fun seed ->
+          Net.Plan.make ~drop:0.2 ~duplicate:0.1
+            ~crashes:[ (0, 2, Some 4) ]
+            ~seed () );
+      ( "merged",
+        fun seed ->
+          Net.Plan.make ~drop:0.3 ~delay:0.1 ~retransmits:2 ~bounded:false
+            ~seed () );
+    ]
+
+(* The n = 2 round 0->0 twice, 0->1, 1->1 holds n^2 = 4 messages, yet
+   receiver 0 never heard from sender 1: the second send on one link
+   moves the round to the queues, which are walked. *)
+let test_silent_spilled_round () =
+  let net = mk 2 in
+  let inbox =
+    Net.exchange_inbox net ~send:(fun () ->
+        Net.send net ~src:0 ~dst:0 "a";
+        Net.send net ~src:0 ~dst:0 "b";
+        Net.send net ~src:0 ~dst:1 "c";
+        Net.send net ~src:1 ~dst:1 "d")
+  in
+  Alcotest.(check (list int))
+    "sender 1 silent at 1" [ 1 ]
+    (Net.Inbox.silent inbox ~at_least:1);
+  Alcotest.(check (list int))
+    "nobody silent at 2" []
+    (Net.Inbox.silent inbox ~at_least:2)
 
 (* A view of the store is valid until the next send on its net. *)
 let test_inbox_view_expires () =
@@ -598,4 +662,8 @@ let suite =
       test_store_matches_queues;
     Alcotest.test_case "inbox view expires at the next send" `Quick
       test_inbox_view_expires;
+    Alcotest.test_case "silent senders on faulty rounds" `Quick
+      test_silent_on_faulty_rounds;
+    Alcotest.test_case "silent sender of a spilled n^2 round" `Quick
+      test_silent_spilled_round;
   ]
