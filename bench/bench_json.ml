@@ -147,10 +147,11 @@ let batch_vss_verify ~n ~t ~m ~iters =
   measure ~op:"batch_vss_verify" ~field:"GF(2^16)" ~n ~t ~m ~iters
     ~naive ~plan:plan_op
 
-(* Dealing one secret to the n grid points. Naive: fresh Horner
-   evaluation per point over untabled multiplication. Plan: the cached
-   transposed-Vandermonde table over tabled multiplication. Identical
-   PRNG draw order, so share vectors must match repr-for-repr. *)
+(* Dealing one secret to the n grid points. Naive: Horner per point at
+   a freshly computed point, over untabled multiplication. Plan: the
+   one dealer ([Grid.eval_poly], Horner at the plan's points) over
+   tabled multiplication. Identical PRNG draw order, so share vectors
+   must match repr-for-repr. *)
 let deal ~n ~t ~iters =
   let plan = S.grid ~n ~t in
   let seed = 2063 in
@@ -215,101 +216,43 @@ let subset_reconstruct ~n ~t ~iters =
   in
   e
 
-(* The zero-alloc reconstruct arena (PR-8): the same checked subset
-   reconstruction through the list entry point (naive) and the array
-   entry point (plan). Both run on the plan's one scratch-arena core,
-   so the naive side is not a separate list implementation any more;
-   the entry exists for the array entry point's ns and allocated-words
-   column, which must stay O(1) minor words on the cache-hit steady
-   state. The subset is larger than t + 1 so the degree check
-   (extension rows) runs too, like a real Coin-Expose inbox. *)
+(* The zero-alloc reconstruct arena (PR-8): a checked subset
+   reconstruction, the Coin-Expose fast path. Naive: the untabled
+   degree check and Lagrange interpolation per call
+   ([Poly.fits_degree] then [Poly.interpolate_at]), as in
+   [subset_reconstruct]. Plan: the array entry point on the plan's
+   scratch arena, whose allocated-words column must stay O(1) minor
+   words on the cache-hit steady state. The subset is larger than
+   t + 1 so the degree check (extension rows) runs too, like a real
+   Coin-Expose inbox. *)
 let subset_reconstruct_arena ~n ~t ~iters =
   let g = Prng.of_int 5119 in
   let plan = S.grid ~n ~t in
   let secret = F.random g in
   let shares = S.deal_with plan g ~secret in
   let ids = Prng.sample_distinct g (min n (t + 3)) n in
-  let points = List.map (fun i -> (i, shares.(i))) ids in
   let len = List.length ids in
   let ids_arr = Array.of_list ids in
   let ys_arr = Array.map (fun i -> shares.(i)) ids_arr in
-  let naive () = G.reconstruct_zero_checked plan points in
+  let points_u =
+    List.map (fun i -> (FU.of_int (i + 1), to_u shares.(i))) ids
+  in
+  let naive () =
+    if SU.P.fits_degree points_u ~max_degree:t then
+      Some (SU.P.interpolate_at points_u FU.zero)
+    else None
+  in
   let plan_op () =
     G.reconstruct_zero_checked_into plan ~ids:ids_arr ~ys:ys_arr ~len
   in
   check_same "subset_reconstruct_arena: values diverge"
     (match (naive (), plan_op ()) with
-    | Some a, Some b -> F.equal a b
+    | Some u, Some x -> same x u
     | None, None -> true
     | _ -> false);
   check_same "subset_reconstruct_arena: wrong secret"
     (plan_op () = Some secret);
   measure ~op:"subset_reconstruct_arena" ~field:"GF(2^16)" ~n ~t ~m:1 ~iters
-    ~naive ~plan:plan_op
-
-(* NTT/finite-difference batch dealing (PR-8 tentpole): M sharings dealt
-   through one [Shamir.deal_batch_with] over the NTT-capable field vs M
-   sequential naive deals. Share vectors are checked bit-equal against
-   the sequential plan path (same PRNG stream: polynomials are drawn
-   before any evaluation in both). Runs at the full (32, 10, 64) shape
-   in both smoke and full mode — this is the entry the >= 8x
-   acceptance figure reads from. *)
-module FF = Fft_field.GF_k64
-module SF = Shamir.Make (FF)
-
-let deal_batch ~iters =
-  let n = 32 and t = 10 and m = 64 in
-  let plan = SF.grid ~n ~t in
-  let seed = 7207 in
-  let dealt_batch =
-    let g = Prng.of_int seed in
-    let secrets = Array.init m (fun _ -> FF.random g) in
-    SF.deal_batch_with plan g ~secrets
-  in
-  let dealt_seq =
-    let g = Prng.of_int seed in
-    let secrets = Array.init m (fun _ -> FF.random g) in
-    Array.map (fun secret -> SF.deal_with plan g ~secret) secrets
-  in
-  check_same "deal_batch: batch and sequential shares diverge"
-    (Array.for_all2 (Array.for_all2 FF.equal) dealt_batch dealt_seq);
-  let gn = Prng.of_int 5 and gp = Prng.of_int 5 in
-  let naive () =
-    let secrets = Array.init m (fun _ -> FF.random gn) in
-    Array.map (fun secret -> SF.deal_naive gn ~t ~n ~secret) secrets
-  in
-  let plan_op () =
-    let secrets = Array.init m (fun _ -> FF.random gp) in
-    SF.deal_batch_with plan gp ~secrets
-  in
-  measure ~op:"deal_batch" ~field:"GF(q^l)~k=64" ~n ~t ~m ~iters ~naive
-    ~plan:plan_op
-
-(* Bit-sliced wide-field multiplication (PR-8 tentpole): one word-op
-   batch of [lanes] products vs the same products through the scalar
-   schoolbook kernel. Both tick [lanes] Metrics mults; the sliced path
-   does the work in k^2 word ops for all lanes at once. Slicing runs
-   outside the timed op: in the batch kernels the transposed form is
-   the working representation, amortized across a whole Horner loop. *)
-module W64 = Gf2_wide.GF64
-
-let sliced_mul ~iters =
-  let g = Prng.of_int 6211 in
-  let lanes = W64.Sliced.lanes in
-  let xs = Array.init lanes (fun _ -> W64.random_nonzero g) in
-  let ys = Array.init lanes (fun _ -> W64.random_nonzero g) in
-  let sx = W64.Sliced.slice xs and sy = W64.Sliced.slice ys in
-  check_same "sliced_mul: sliced and schoolbook products diverge"
-    (Array.for_all2 W64.equal
-       (W64.Sliced.unslice (W64.Sliced.mul sx sy))
-       (Array.map2 W64.mul_schoolbook xs ys));
-  let naive () =
-    for i = 0 to lanes - 1 do
-      ignore (W64.mul_schoolbook xs.(i) ys.(i))
-    done
-  in
-  let plan_op () = ignore (W64.Sliced.mul sx sy) in
-  measure ~op:"sliced_mul" ~field:"GF(2^64)" ~n:0 ~t:0 ~m:lanes ~iters
     ~naive ~plan:plan_op
 
 (* The steady-state exposure path under the deployment default — a
@@ -540,22 +483,13 @@ let run ~smoke ~path =
   let n, t, m = if smoke then (8, 2, 8) else (32, 10, 64) in
   let iters = if smoke then 500 else 5_000 in
   let mul_iters = if smoke then 50_000 else 2_000_000 in
-  (* The naive side of deal_batch runs M=64 sequential Horner deals at
-     ~130ms per op; a handful of iterations per timing block is all the
-     budget allows, and the paired-median protocol absorbs the noise. *)
-  let batch_iters = if smoke then 3 else 10 in
   let entries =
     [
       batch_vss_verify ~n ~t ~m ~iters;
       deal ~n ~t ~iters;
-      (* Always the full (32, 10, 64) shape: the acceptance figure for
-         the NTT/FD batch-dealing kernel reads from this entry in both
-         modes. *)
-      deal_batch ~iters:batch_iters;
       subset_reconstruct ~n ~t ~iters;
       subset_reconstruct_arena ~n ~t ~iters;
       gf2k_mul ~iters:mul_iters;
-      sliced_mul ~iters:(if smoke then 5_000 else 50_000);
       (* A full exposure is ~10us and the overhead budget is percent-level,
          so this entry needs long blocks: its own iteration budget, far
          above the shared [iters]. *)
@@ -569,8 +503,8 @@ let run ~smoke ~path =
     \  \"schema\": \"dprbg-bench/2\",\n\
     \  \"mode\": %S,\n\
     \  \"description\": \"naive = reference paths (untabled GF(2^16), \
-     per-call Lagrange/Horner, sequential deals, list reconstruct); plan = \
-     grid kernels, NTT/FD batch dealing, bit-sliced wide mults, arena \
+     per-call Lagrange/Horner, list-based exposure); plan = grid kernels \
+     (one Horner dealer, cached degree checks and weights), arena \
      reconstruct. alloc_w = allocated words per op (Gc.allocated_bytes \
      deltas)\",\n\
     \  \"entries\": [\n%s\n  ]\n}\n"

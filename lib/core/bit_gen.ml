@@ -27,7 +27,10 @@ module Make (F : Field_intf.S) = struct
   }
 
   (* The dealer's share matrix: shares.(i).(h) is player i's share of
-     secret h. *)
+     secret h. Every polynomial is drawn first, in secret order, then
+     the session plan evaluates them player-major (Grid.deal draws
+     nothing); garbage rows for [Inconsistent_to] victims are drawn
+     last. *)
   let deal_matrix behavior g ~n ~t ~m =
     let honest_poly () = S.share_poly g ~t ~secret:(F.random g) in
     let zero_poly () = S.share_poly g ~t ~secret:F.zero in
@@ -51,10 +54,7 @@ module Make (F : Field_intf.S) = struct
                   honest_poly ()
               | Silent_dealer | Matrix _ -> assert false)
         in
-        let matrix =
-          Array.init n (fun i ->
-              Array.init m (fun h -> P.eval polys.(h) (S.eval_point i)))
-        in
+        let matrix = S.G.deal (S.grid ~n ~t) polys in
         (match behavior with
         | Inconsistent_to victims ->
             List.iter

@@ -570,6 +570,4 @@ module Make (F : Field_intf.S) = struct
       refill_attempts = counters.(8);
       backoff_rounds = counters.(9);
     }
-
-  let restore = load
 end

@@ -184,7 +184,7 @@ module Make (F : Field_intf.S) : sig
   (** Serialize the pool's durable state — the sealed coins and the
       ledger counters. The PRNG position, adversary hooks and bit buffer
       are {e not} saved: a restored pool continues with the randomness
-      and behaviours given to {!restore}. (In a deployment each player
+      and behaviours given to {!load}. (In a deployment each player
       persists only its own shares; the simulator saves the global
       state.) *)
 
@@ -213,18 +213,4 @@ module Make (F : Field_intf.S) : sig
       (any single bit flip or truncation is detected).
       @raise Invalid_argument on bad parameters ([refill_threshold],
       [batch_size], [max_refill_attempts]) accompanying intact bytes. *)
-
-  val restore :
-    ?adversary:(int -> CG.adversary) ->
-    ?expose_behavior:(int -> int -> CE.sender_behavior) ->
-    ?max_ba_iterations:int ->
-    ?ba_flavor:[ `Phase_king | `Common_coin ] ->
-    ?max_refill_attempts:int ->
-    ?sentinel:Sentinel.config option ->
-    prng:Prng.t ->
-    batch_size:int ->
-    refill_threshold:int ->
-    bytes ->
-    t
-  (** Alias of {!load}, kept for callers of the pre-checksum API. *)
 end

@@ -196,99 +196,6 @@ module Make (P : PARAM) = struct
 
   let pp ppf a = Format.pp_print_string ppf (to_string a)
 
-  (* Batch multipoint kernel. The protocol grid points of_int(1..n) are
-     scalars (coordinates 1..l-1 zero, since i+1 < q in every supported
-     deployment), and evaluating a vector-coefficient polynomial at a
-     scalar splits into l independent scalar polynomial evaluations
-     over Z_q — one per coordinate — each served by the raw table
-     kernel (finite differences on the AP grid) or, for large non-AP
-     scalar point sets, by the NTT subproduct tree amortized across the
-     l * M scalar polynomials of the batch. Non-scalar points fall back
-     to raw Horner with unticked NTT products. No Metrics ticks
-     anywhere; callers account model cost in bulk. *)
-  let batch_eval =
-    let raw_mul a b =
-      let prod = Ntt.convolve ntt_plan a b in
-      Array.init l (fun i ->
-          if i + l < Array.length prod then
-            Zq_table.Tables.add tbl prod.(i)
-              (Zq_table.Tables.mul tbl c prod.(i + l))
-          else prod.(i))
-    in
-    let raw_add a b =
-      Array.init l (fun i -> Zq_table.Tables.add tbl a.(i) b.(i))
-    in
-    let is_scalar x =
-      let ok = ref true in
-      for i = 1 to l - 1 do
-        if x.(i) <> 0 then ok := false
-      done;
-      !ok
-    in
-    Some
-      (fun css xs ->
-        let n = Array.length xs in
-        let m = Array.length css in
-        if n = 0 then Array.map (fun _ -> [||]) css
-        else if not (Array.for_all is_scalar xs) then
-          Array.map
-            (fun cs ->
-              let len = Array.length cs in
-              Array.map
-                (fun x ->
-                  let acc = ref zero in
-                  for d = len - 1 downto 0 do
-                    acc := raw_add (raw_mul !acc x) cs.(d)
-                  done;
-                  !acc)
-                xs)
-            css
-        else begin
-          let sx = Array.map (fun x -> x.(0)) xs in
-          let out =
-            Array.init m (fun _ -> Array.init n (fun _ -> Array.make l 0))
-          in
-          let is_ap =
-            n >= 2
-            &&
-            let ok = ref true in
-            for i = 0 to n - 2 do
-              let s = sx.(i) + 1 in
-              let s = if s >= q then s - q else s in
-              if sx.(i + 1) <> s then ok := false
-            done;
-            !ok
-          in
-          if n >= 64 && not is_ap then begin
-            (* One subproduct tree, reused for all l*m scalar polys. *)
-            let mp = Ntt.Multipoint.make tbl ~xs:sx in
-            for r = 0 to l - 1 do
-              for j = 0 to m - 1 do
-                let cs_r = Array.map (fun cd -> cd.(r)) css.(j) in
-                let vals = Ntt.Multipoint.eval mp cs_r in
-                let row = out.(j) in
-                for i = 0 to n - 1 do
-                  row.(i).(r) <- vals.(i)
-                done
-              done
-            done
-          end
-          else
-            for r = 0 to l - 1 do
-              let css_r =
-                Array.map (fun cs -> Array.map (fun cd -> cd.(r)) cs) css
-              in
-              let vals = Zq_table.Tables.eval_batch tbl css_r sx in
-              for j = 0 to m - 1 do
-                let row = out.(j) and vr = vals.(j) in
-                for i = 0 to n - 1 do
-                  row.(i).(r) <- vr.(i)
-                done
-              done
-            done;
-          out
-        end)
-
   let dot = None
 end
 

@@ -80,22 +80,8 @@ module type S = sig
   val pp : Format.formatter -> t -> unit
   val to_string : t -> string
 
-  val batch_eval : (t array array -> t array -> t array array) option
-  (** Optional batch multipoint-evaluation kernel. When [Some eval],
-      [eval css xs] returns [out] with [out.(j).(i) = p_j(xs.(i))],
-      where [p_j] is the polynomial with coefficient vector [css.(j)]
-      (low-to-high degree; trailing zeros allowed; the empty vector is
-      the zero polynomial). The values must be bit-identical to Horner
-      evaluation — fields are exact, so "fast" may never mean
-      "approximate". The kernel draws no randomness and performs no
-      {!Metrics} ticks of its own: callers run it under
-      [Metrics.without_counting] and account the model cost (the ticks
-      the Horner path would have made) in bulk, keeping the paper's
-      cost-model parity. [None] means the field has no fast kernel and
-      callers fall back to per-point Horner. *)
-
   val dot : (t array -> t array -> int -> t) option
-  (** Optional dot-product kernel beside {!batch_eval}. When [Some dot],
+  (** Optional dot-product kernel. When [Some dot],
       [dot a b len] is [a.(0) b.(0) + ... + a.(len - 1) b.(len - 1)]
       ({!zero} at [len = 0]), bit-identical to accumulating {!mul}
       products with {!add} from {!zero}. It performs no {!Metrics} ticks:

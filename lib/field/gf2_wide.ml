@@ -83,19 +83,6 @@ module type S = sig
   val repr : t -> int array
   val mul_schoolbook : t -> t -> t
   val mul_karatsuba : t -> t -> t
-
-  module Sliced : sig
-    type elt
-    type t
-
-    val lanes : int
-    val count : t -> int
-    val slice : elt array -> t
-    val unslice : t -> elt array
-    val mul : t -> t -> t
-    val add : t -> t -> t
-  end
-  with type elt := t
 end
 
 module Make (P : PARAM) = struct
@@ -391,144 +378,6 @@ module Make (P : PARAM) = struct
     Buffer.contents b
 
   let pp ppf a = Format.pp_print_string ppf (to_string a)
-
-  (* ---------------------------------------------------- bit-slicing -- *)
-
-  (* Exponents below k with a non-zero modulus coefficient, as an array
-     for the sliced reduction loop. *)
-  let mod_low =
-    Array.of_list (List.filter (fun e -> e < P.k) modulus_bits)
-
-  (* Transposed ("bit-sliced") representation: a vector of up to [lanes]
-     field elements becomes [k] plane words, plane [b] holding bit [b]
-     of every element (element [j] at bit position [j]). One AND+XOR on
-     a plane pair then advances one GF(2) product term for every lane
-     at once, so a batched multiply costs O(k^2 + k*w) word ops for the
-     whole vector instead of per element (w = modulus weight). *)
-  module Sliced = struct
-    let lanes = Sys.int_size (* 63 on 64-bit OCaml: one lane per int bit *)
-
-    type sliced = { planes : int array; (* length k *) count : int }
-    type t = sliced
-
-    let count s = s.count
-
-    let slice v =
-      let cnt = Array.length v in
-      if cnt = 0 || cnt > lanes then
-        invalid_arg (name ^ ".Sliced.slice: 1..lanes elements");
-      let planes = Array.make P.k 0 in
-      for b = 0 to P.k - 1 do
-        let lb = b / Bits.limb_bits and r = b mod Bits.limb_bits in
-        let w = ref 0 in
-        for j = cnt - 1 downto 0 do
-          w := (!w lsl 1) lor (((Array.unsafe_get v j).(lb) lsr r) land 1)
-        done;
-        planes.(b) <- !w
-      done;
-      { planes; count = cnt }
-
-    let unslice_one planes jj =
-      let a = Bits.create nlimbs in
-      for b = 0 to P.k - 1 do
-        if (Array.unsafe_get planes b lsr jj) land 1 = 1 then Bits.set a b
-      done;
-      a
-
-    let unslice s = Array.init s.count (unslice_one s.planes)
-
-    (* Raw lanewise product of two plane vectors: schoolbook on planes
-       (k^2 AND+XOR), then fold the high planes down through the
-       low-weight modulus. No ticks, no lane-count bookkeeping. *)
-    let mul_planes pa pb =
-      let prod = Array.make ((2 * P.k) - 1) 0 in
-      for i = 0 to P.k - 1 do
-        let ai = Array.unsafe_get pa i in
-        if ai <> 0 then
-          for j = 0 to P.k - 1 do
-            let bj = Array.unsafe_get pb j in
-            if bj <> 0 then begin
-              let idx = i + j in
-              Array.unsafe_set prod idx (Array.unsafe_get prod idx lxor (ai land bj))
-            end
-          done
-      done;
-      for s = (2 * P.k) - 2 downto P.k do
-        let p = Array.unsafe_get prod s in
-        if p <> 0 then begin
-          Array.unsafe_set prod s 0;
-          for ei = 0 to Array.length mod_low - 1 do
-            let idx = s - P.k + Array.unsafe_get mod_low ei in
-            Array.unsafe_set prod idx (Array.unsafe_get prod idx lxor p)
-          done
-        end
-      done;
-      Array.sub prod 0 P.k
-
-    (* Public sliced arithmetic keeps the cost model honest: a lanewise
-       multiply computes [count] field products, so it ticks [count]
-       mults — same convention as the tabled kernels, which tick the
-       model cost of what they compute, not the machine cost. *)
-    let mul sa sb =
-      if sa.count <> sb.count then
-        invalid_arg (name ^ ".Sliced.mul: lane count mismatch");
-      Metrics.tick_mults sa.count;
-      { planes = mul_planes sa.planes sb.planes; count = sa.count }
-
-    let add sa sb =
-      if sa.count <> sb.count then
-        invalid_arg (name ^ ".Sliced.add: lane count mismatch");
-      Metrics.tick_adds sa.count;
-      {
-        planes = Array.init P.k (fun b -> sa.planes.(b) lxor sb.planes.(b));
-        count = sa.count;
-      }
-  end
-
-  (* Batch multipoint kernel: slice the evaluation points (chunks of
-     [lanes]) and run Horner on the plane representation — one
-     [mul_planes] plus one broadcast-XOR per coefficient advances all
-     lanes at once. Raw (no ticks, no randomness); values bit-identical
-     to per-point Horner because GF(2) arithmetic is exact either way. *)
-  let batch_eval =
-    Some
-      (fun css xs ->
-        let n = Array.length xs in
-        let m = Array.length css in
-        let out = Array.init m (fun _ -> Array.make n zero) in
-        let c0 = ref 0 in
-        while !c0 < n do
-          let cnt = min Sliced.lanes (n - !c0) in
-          let sx = Sliced.slice (Array.sub xs !c0 cnt) in
-          let px = sx.Sliced.planes in
-          let all_mask = if cnt = Sliced.lanes then -1 else (1 lsl cnt) - 1 in
-          for j = 0 to m - 1 do
-            let cs = css.(j) in
-            let len = Array.length cs in
-            if len > 0 then begin
-              let acc = ref (Array.make P.k 0) in
-              let top = cs.(len - 1) in
-              for b = 0 to P.k - 1 do
-                if Bits.get top b then !acc.(b) <- all_mask
-              done;
-              for d = len - 2 downto 0 do
-                let p = Sliced.mul_planes !acc px in
-                let c = cs.(d) in
-                for b = 0 to P.k - 1 do
-                  if Bits.get c b then
-                    Array.unsafe_set p b (Array.unsafe_get p b lxor all_mask)
-                done;
-                acc := p
-              done;
-              let row = out.(j) in
-              for jj = 0 to cnt - 1 do
-                row.(!c0 + jj) <- Sliced.unslice_one !acc jj
-              done
-            end
-          done;
-          c0 := !c0 + cnt
-        done;
-        out)
 
   let dot = None
 end

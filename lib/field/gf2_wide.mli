@@ -2,7 +2,7 @@
 
     Complements {!Gf2k} (which is limited to one machine word) so the
     security-parameter sweeps in the benchmarks can reach the paper's
-    regime of cryptographic [k] (64, 128, 256). Three multiplication
+    regime of cryptographic [k] (64, 128, 256). Two multiplication
     kernels coexist:
 
     - {!S.mul_schoolbook}: the schoolbook carryless method — [O(k^2)]
@@ -10,10 +10,7 @@
       experiment E13's naive rows measure;
     - {!S.mul_karatsuba}: the three-way split ([O(k^1.585)] bit
       operations). {!S.mul} dispatches to it above a measured limb
-      threshold (4 limbs, i.e. [k >= 97]) and stays schoolbook below;
-    - {!S.Sliced}: a transposed bit-plane representation processing one
-      full lane vector (63 elements) per word operation, the batch
-      kernel behind [batch_eval] (DESIGN.md §17).
+      threshold (4 limbs, i.e. [k >= 97]) and stays schoolbook below.
 
     Elements are immutable; all arithmetic allocates fresh limb arrays. *)
 
@@ -41,37 +38,6 @@ module type S = sig
   val mul_karatsuba : t -> t -> t
   (** Same product via Karatsuba's three-way split on the limb array.
       {!mul} uses this automatically for [k >= 97]. *)
-
-  (** Bit-sliced vectors: up to {!Sliced.lanes} field elements stored
-      transposed as [k_bits] plane words (plane [b], bit [j] = bit [b]
-      of element [j]). [slice]/[unslice] round-trip; [mul]/[add]
-      compute all lanes per word-op and tick the model cost of the
-      [count] element operations they perform. *)
-  module Sliced : sig
-    type elt
-    type t
-
-    val lanes : int
-    (** Maximum lane count: [Sys.int_size] (63 on 64-bit OCaml — the
-        64-lane design loses one lane to the tag bit). *)
-
-    val count : t -> int
-
-    val slice : elt array -> t
-    (** @raise Invalid_argument on an empty vector or more than
-        [lanes] elements. *)
-
-    val unslice : t -> elt array
-
-    val mul : t -> t -> t
-    (** Lanewise field product; ticks [count] mults.
-        @raise Invalid_argument on lane-count mismatch. *)
-
-    val add : t -> t -> t
-    (** Lanewise sum; ticks [count] adds.
-        @raise Invalid_argument on lane-count mismatch. *)
-  end
-  with type elt := t
 end
 
 module Make (P : PARAM) : S

@@ -351,56 +351,13 @@ module Make_gen (P : PARAM) (T : sig val want_tables : bool end) = struct
   let pp ppf x = Format.fprintf ppf "0x%x" x
   let to_string x = Printf.sprintf "0x%x" x
 
-  (* Batch multipoint kernel: log-domain Horner with each point's
-     discrete log looked up once per batch. Raw lookups only — no
-     Metrics ticks (callers account model cost in bulk) — so a Horner
-     step is one doubled-exp lookup plus one xor instead of a ticked
-     table mul and a ticked add. Untabled backends keep the per-point
-     reference path. *)
-  let batch_eval =
-    match tables with
-    | None -> None
-    | Some (exp_table, log_table) ->
-        Some
-          (fun css xs ->
-            let n = Array.length xs in
-            let lxs =
-              Array.map (fun x -> if x = 0 then -1 else log_table.(x)) xs
-            in
-            Array.map
-              (fun cs ->
-                let len = Array.length cs in
-                let row = Array.make n 0 in
-                if len > 0 then
-                  for i = 0 to n - 1 do
-                    let lx = Array.unsafe_get lxs i in
-                    if lx < 0 then row.(i) <- cs.(0) (* p(0) = c0 *)
-                    else begin
-                      let acc = ref 0 in
-                      for j = len - 1 downto 0 do
-                        let a = !acc in
-                        let ax =
-                          if a = 0 then 0
-                          else
-                            Array.unsafe_get exp_table
-                              (Array.unsafe_get log_table a + lx)
-                        in
-                        acc := ax lxor Array.unsafe_get cs j
-                      done;
-                      row.(i) <- !acc
-                    end
-                  done;
-                row)
-              css)
-
-  (* Dot-product kernel for the carry-less regime, raw like
-     [batch_eval]: no ticks, the caller ticks the loop's mults and adds
-     in bulk. The products are xor-ed unreduced and folded once:
-     carry-less multiplication is linear over GF(2), so the reduction of
-     the sum is the sum of the reductions, and a sum of products of
-     degree <= 2k - 2 keeps that degree, within the two folds' reach.
-     The tabled and word regimes, and [Make_untabled], keep the ticked
-     loop. *)
+  (* Dot-product kernel for the carry-less regime, raw: no ticks, the
+     caller ticks the loop's mults and adds in bulk. The products are
+     xor-ed unreduced and folded once: carry-less multiplication is
+     linear over GF(2), so the reduction of the sum is the sum of the
+     reductions, and a sum of products of degree <= 2k - 2 keeps that
+     degree, within the two folds' reach. The tabled and word regimes,
+     and [Make_untabled], keep the ticked loop. *)
   let dot =
     match tables with
     | None when T.want_tables && P.k <= 32 ->

@@ -99,224 +99,3 @@ let convolve p a b =
     fa.(i) <- Zq_table.Tables.mul p.tbl fa.(i) fb.(i)
   done;
   inverse p fa
-
-(* Multipoint evaluation at arbitrary points via a subproduct tree.
-
-   The grid points used by the protocols (of_int 1..n) are not root
-   powers, so a plain DFT cannot evaluate there. The classical remedy
-   is the subproduct/remainder tree: build the tree of monic products
-   prod (x - a_i) bottom-up (products by NTT convolution once they are
-   large enough for the butterflies to pay), then push the polynomial
-   down the tree by remaindering; each leaf remainder is p(a_i).
-   Remainders against large divisors use Newton power-series inversion
-   (again NTT products), so the whole evaluation is O(M(n) log n).
-   Duplicate points are fine — (x - a) still divides the tree node, and
-   both leaves receive p(a). All arithmetic is raw table ops: no
-   Metrics ticks, callers account model cost themselves. *)
-module Multipoint = struct
-  (* Polynomials are int arrays, coefficients low-to-high, residues in
-     [0, q). Trailing zeros are tolerated everywhere; [trim] is applied
-     where degree logic needs it. *)
-
-  type node =
-    | Leaf of int (* index into xs *)
-    | Node of { l : node; r : node; lprod : int array; rprod : int array }
-
-  type t = {
-    tbl : Zq_table.Tables.t;
-    xs : int array;
-    root : node;
-    root_prod : int array;
-    plans : (int, plan option) Hashtbl.t;
-        (* smallest usable plan per result size; None if q-1 has no
-           large enough power-of-two divisor *)
-  }
-
-  (* Products below this result length run schoolbook: the butterfly
-     setup does not pay for itself on tiny operands. *)
-  let ntt_mul_threshold = 32
-
-  (* Divisors below this degree are remaindered schoolbook; above it
-     the Newton-inversion division is used. *)
-  let newton_rem_threshold = 32
-
-  let trim a =
-    let n = ref (Array.length a) in
-    while !n > 0 && a.(!n - 1) = 0 do
-      decr n
-    done;
-    if !n = Array.length a then a else Array.sub a 0 !n
-
-  let prefix a k =
-    if Array.length a <= k then a else Array.sub a 0 k
-
-  let rev a =
-    let n = Array.length a in
-    Array.init n (fun i -> a.(n - 1 - i))
-
-  let plan_for t need =
-    match Hashtbl.find_opt t.plans need with
-    | Some p -> p
-    | None ->
-        let q = Zq_table.Tables.q t.tbl in
-        let m = ref 1 in
-        while !m < need do
-          m := !m * 2
-        done;
-        let p = if (q - 1) mod !m = 0 then Some (plan t.tbl ~m:!m) else None in
-        Hashtbl.add t.plans need p;
-        p
-
-  let mul_school tbl a b =
-    let la = Array.length a and lb = Array.length b in
-    if la = 0 || lb = 0 then [||]
-    else begin
-      let out = Array.make (la + lb - 1) 0 in
-      for i = 0 to la - 1 do
-        let ai = Array.unsafe_get a i in
-        if ai <> 0 then
-          for j = 0 to lb - 1 do
-            let k = i + j in
-            Array.unsafe_set out k
-              (Zq_table.Tables.add tbl
-                 (Array.unsafe_get out k)
-                 (Zq_table.Tables.mul tbl ai (Array.unsafe_get b j)))
-          done
-      done;
-      out
-    end
-
-  let poly_mul t a b =
-    let la = Array.length a and lb = Array.length b in
-    if la = 0 || lb = 0 then [||]
-    else begin
-      let need = la + lb - 1 in
-      if need < ntt_mul_threshold then mul_school t.tbl a b
-      else
-        match plan_for t need with
-        | None -> mul_school t.tbl a b
-        | Some p -> Array.sub (convolve p a b) 0 need
-    end
-
-  (* Power-series inverse: g with f*g = 1 (mod x^k), f.(0) <> 0, by
-     Newton doubling g' = g*(2 - f*g). *)
-  let inv_series t f k =
-    let tbl = t.tbl in
-    let g = ref [| Zq_table.Tables.inv tbl f.(0) |] in
-    let len = ref 1 in
-    while !len < k do
-      let nl = min (2 * !len) k in
-      let fg = poly_mul t (prefix f nl) !g in
-      let h = Array.make nl 0 in
-      let fg0 = if Array.length fg > 0 then fg.(0) else 0 in
-      h.(0) <- Zq_table.Tables.sub tbl (2 mod Zq_table.Tables.q tbl) fg0;
-      for i = 1 to min (nl - 1) (Array.length fg - 1) do
-        h.(i) <- Zq_table.Tables.neg tbl fg.(i)
-      done;
-      g := prefix (poly_mul t !g h) nl;
-      len := nl
-    done;
-    prefix !g k
-
-  (* Remainder of [p] by monic [d] (leading coefficient 1), schoolbook:
-     only mul/sub since the divisor is monic. *)
-  let rem_school tbl p d =
-    let dd = Array.length d - 1 in
-    let r = Array.copy p in
-    for i = Array.length r - 1 downto dd do
-      let c = r.(i) in
-      if c <> 0 then
-        for j = 0 to dd do
-          let k = i - dd + j in
-          r.(k) <-
-            Zq_table.Tables.sub tbl r.(k)
-              (Zq_table.Tables.mul tbl c (Array.unsafe_get d j))
-        done
-    done;
-    Array.sub r 0 dd
-
-  (* Remainder by monic [d] via q = rev(p) * rev(d)^-1 (mod x^(n-m+1)),
-     reversed; then r = p - q*d truncated below deg d. *)
-  let rem_newton t p d =
-    let tbl = t.tbl in
-    let n = Array.length p - 1 and m = Array.length d - 1 in
-    let k = n - m + 1 in
-    let inv = inv_series t (rev d) k in
-    let qr = prefix (poly_mul t (rev p) inv) k in
-    let qp =
-      (* rev of qr padded to length k: quotient coefficients *)
-      let out = Array.make k 0 in
-      let lq = Array.length qr in
-      for i = 0 to lq - 1 do
-        out.(k - 1 - i) <- qr.(i)
-      done;
-      out
-    in
-    let qd = poly_mul t qp d in
-    Array.init m (fun i ->
-        let pv = if i <= n then p.(i) else 0 in
-        let sv = if i < Array.length qd then qd.(i) else 0 in
-        Zq_table.Tables.sub tbl pv sv)
-
-  let poly_rem t p d =
-    let p = trim p in
-    let dd = Array.length d - 1 in
-    if Array.length p - 1 < dd then p
-    else if dd <= newton_rem_threshold then rem_school t.tbl p d
-    else rem_newton t p d
-
-  let leaf_poly tbl a = [| Zq_table.Tables.neg tbl a; 1 |]
-
-  let make tbl ~xs =
-    if Array.length xs = 0 then invalid_arg "Ntt.Multipoint.make: no points";
-    let q = Zq_table.Tables.q tbl in
-    Array.iter
-      (fun x ->
-        if x < 0 || x >= q then
-          invalid_arg "Ntt.Multipoint.make: point out of range")
-      xs;
-    let t =
-      {
-        tbl;
-        xs = Array.copy xs;
-        root = Leaf 0;
-        root_prod = [||];
-        plans = Hashtbl.create 8;
-      }
-    in
-    let rec build lo hi =
-      if hi - lo = 1 then (Leaf lo, leaf_poly tbl xs.(lo))
-      else begin
-        let mid = (lo + hi) / 2 in
-        let ln, lp = build lo mid and rn, rp = build mid hi in
-        (Node { l = ln; r = rn; lprod = lp; rprod = rp }, poly_mul t lp rp)
-      end
-    in
-    let root, root_prod = build 0 (Array.length xs) in
-    { t with root; root_prod }
-
-  let points t = Array.copy t.xs
-
-  let eval_into t cs out =
-    let rec go node r =
-      match node with
-      | Leaf i -> out.(i) <- (if Array.length r = 0 then 0 else r.(0))
-      | Node { l; r = rn; lprod; rprod } ->
-          go l (poly_rem t r lprod);
-          go rn (poly_rem t r rprod)
-    in
-    go t.root (poly_rem t cs t.root_prod)
-
-  let eval t cs =
-    let out = Array.make (Array.length t.xs) 0 in
-    eval_into t cs out;
-    out
-
-  let eval_batch t css =
-    Array.map
-      (fun cs ->
-        let out = Array.make (Array.length t.xs) 0 in
-        eval_into t cs out;
-        out)
-      css
-end

@@ -28,39 +28,3 @@ val convolve : plan -> int array -> int array -> int array
     domain. The two inputs must satisfy
     [length a + length b - 1 <= size plan]; the result has length [m]
     (high entries zero). *)
-
-(** Multipoint evaluation at {e arbitrary} points of [Z_q] via a
-    subproduct tree: monic node products built by NTT convolution,
-    remainder tree pushed down with Newton-inversion division, so
-    evaluating a degree-[< n] polynomial at all [n] points costs
-    [O(M(n) log n)] where [M] is the NTT multiplication cost. This is
-    the batch-dealing kernel for point sets that are not root-of-unity
-    powers (the protocol grid [of_int 1..n] in particular — a plain DFT
-    cannot evaluate there, see DESIGN.md §17).
-
-    All arithmetic is raw {!Zq_table.Tables} ops: no {!Metrics} ticks
-    and no randomness; callers account the model cost in bulk. *)
-module Multipoint : sig
-  type t
-  (** A subproduct tree over one fixed point set. Building costs
-      [O(M(n) log n)]; reuse it for every polynomial evaluated at the
-      same points. *)
-
-  val make : Zq_table.Tables.t -> xs:int array -> t
-  (** [make tbl ~xs] builds the tree over points [xs] (canonical
-      residues; duplicates allowed — both occurrences receive the same
-      value).
-      @raise Invalid_argument on an empty point set or an out-of-range
-      residue. *)
-
-  val points : t -> int array
-
-  val eval : t -> int array -> int array
-  (** [eval t cs] evaluates the polynomial with coefficients [cs]
-      (low-to-high, any length, trailing zeros fine) at every tree
-      point: [(eval t cs).(i) = p(xs.(i))]. *)
-
-  val eval_batch : t -> int array array -> int array array
-  (** [eval_batch t css] is [Array.map (eval t) css] — the tree (and
-      its cached NTT plans) amortized across a batch of dealings. *)
-end

@@ -173,10 +173,6 @@ module Make (P : PARAM) = struct
   let pp = Format.pp_print_int
   let to_string = string_of_int
 
-  (* No table/NTT machinery here: Zp is the untabled reference field
-     (and the bench's "naive" twin), so batch dealing falls back to
-     per-point Horner. *)
-  let batch_eval = None
   let dot = None
   let primitive_root = find_primitive_root P.p
   let pow_mod b e = pow_mod P.p b e

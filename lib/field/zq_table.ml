@@ -56,99 +56,6 @@ module Tables = struct
     assert (e >= 0);
     if b = 0 then if e = 0 then 1 else 0
     else t.exp_table.(t.log_table.(b) * e mod (t.q - 1))
-
-  (* Raw Horner at one point (log-domain multiply, branchless lazy
-     reduction on the add). No Metrics ticks. *)
-  let horner t cs x =
-    let len = Array.length cs in
-    if len = 0 then 0
-    else if x = 0 then cs.(0)
-    else begin
-      let lx = Array.unsafe_get t.log_table x in
-      let exp_t = t.exp_table and log_t = t.log_table in
-      let q = t.q in
-      let acc = ref 0 in
-      for k = len - 1 downto 0 do
-        let a = !acc in
-        let ax =
-          if a = 0 then 0
-          else Array.unsafe_get exp_t (Array.unsafe_get log_t a + lx)
-        in
-        let s = ax + Array.unsafe_get cs k in
-        acc := if s >= q then s - q else s
-      done;
-      !acc
-    end
-
-  (* Batch multipoint evaluation, raw (no ticks): out.(j).(i) =
-     p_j(xs.(i)) with css.(j) the coefficients low-to-high. When the
-     points form a step-1 arithmetic progression mod q — the protocol
-     grid of_int 1..n — each polynomial costs len Horner seeds and then
-     len-1 additions per further point (the classical difference
-     engine: the len-th finite difference of a degree-(len-1)
-     polynomial over a unit-step AP vanishes). Otherwise every point is
-     a log-domain Horner. Scratch is reused across the batch, so the
-     per-polynomial allocation is one output row. *)
-  let eval_batch t css xs =
-    let n = Array.length xs in
-    let m = Array.length css in
-    let q = t.q in
-    let out = Array.make m [||] in
-    let is_ap =
-      n >= 2
-      &&
-      let ok = ref true in
-      for i = 0 to n - 2 do
-        let s = xs.(i) + 1 in
-        let s = if s >= q then s - q else s in
-        if xs.(i + 1) <> s then ok := false
-      done;
-      !ok
-    in
-    let maxlen = Array.fold_left (fun a cs -> max a (Array.length cs)) 1 css in
-    let diff = Array.make maxlen 0 in
-    let anti = Array.make maxlen 0 in
-    for j = 0 to m - 1 do
-      let cs = css.(j) in
-      let len = Array.length cs in
-      let row = Array.make n 0 in
-      out.(j) <- row;
-      if len = 0 then () (* zero polynomial: row stays 0 *)
-      else if (not is_ap) || n <= len then
-        for i = 0 to n - 1 do
-          row.(i) <- horner t cs xs.(i)
-        done
-      else begin
-        let d = len - 1 in
-        (* Seeds p(xs.(0)) .. p(xs.(d)). *)
-        for i = 0 to d do
-          let y = horner t cs xs.(i) in
-          row.(i) <- y;
-          diff.(i) <- y
-        done;
-        (* Anti-diagonal of the difference triangle:
-           anti.(k) = Δ^k p(xs.(d-k)). *)
-        anti.(0) <- diff.(d);
-        for k = 1 to d do
-          for i = d downto k do
-            let s = diff.(i) - diff.(i - 1) in
-            diff.(i) <- (if s < 0 then s + q else s)
-          done;
-          anti.(k) <- diff.(d)
-        done;
-        (* Advance: updating j descending uses the already-advanced
-           anti.(j+1), which is exactly Δ^(j+1) p at the anchor the
-           update of anti.(j) needs. *)
-        for i = d + 1 to n - 1 do
-          for k = d - 1 downto 0 do
-            let s = anti.(k) + anti.(k + 1) in
-            anti.(k) <- (if s >= q then s - q else s)
-          done;
-          row.(i) <- anti.(0)
-        done
-      end
-    done;
-    out
 end
 
 module type PARAM = sig
@@ -230,8 +137,5 @@ module Make (P : PARAM) = struct
   let pp = Format.pp_print_int
   let to_string = string_of_int
 
-  (* Elements are canonical residues, so the raw table kernel is
-     directly the field kernel. *)
-  let batch_eval = Some (fun css xs -> Tables.eval_batch tables css xs)
   let dot = None
 end

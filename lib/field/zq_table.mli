@@ -29,19 +29,6 @@ module Tables : sig
 
   val log : t -> int -> int
   (** Discrete log base [generator]; argument must be non-zero. *)
-
-  val horner : t -> int array -> int -> int
-  (** Raw Horner evaluation of a coefficient vector (low-to-high) at
-      one point, entirely in the tables (no {!Metrics} ticks). *)
-
-  val eval_batch : t -> int array array -> int array -> int array array
-  (** [eval_batch tbl css xs] is the raw batch multipoint kernel:
-      [(eval_batch tbl css xs).(j).(i) = p_j(xs.(i))]. When [xs] is a
-      step-1 arithmetic progression mod [q] (the protocol grid
-      [of_int 1..n]) each polynomial runs the finite-difference engine
-      — [len] Horner seeds then [len-1] raw additions per further point
-      — otherwise per-point log-domain Horner. No ticks, no
-      randomness. *)
 end
 
 module type PARAM = sig

@@ -5,7 +5,6 @@ module Make (F : Field_intf.S) = struct
     n : int;
     deg : int;
     xs : F.t array; (* xs.(i) = F.of_int (i + 1), player i's point *)
-    vand : F.t array array; (* vand.(i).(d) = xs.(i)^d, d <= deg *)
     ext : F.t array array;
         (* ext.(r).(j) = L_j(xs.(deg + 1 + r)) for the Lagrange basis
            over the first deg + 1 grid points: the full-grid degree
@@ -145,21 +144,12 @@ module Make (F : Field_intf.S) = struct
     if n < 1 then invalid_arg "Grid.make: n must be positive";
     if t < 0 || t >= n then invalid_arg "Grid.make: need 0 <= t < n";
     let xs = Array.init n (fun i -> F.of_int (i + 1)) in
-    let vand =
-      Array.init n (fun i ->
-          let row = Array.make (t + 1) F.one in
-          for d = 1 to t do
-            row.(d) <- F.mul row.(d - 1) xs.(i)
-          done;
-          row)
-    in
     let base = Array.sub xs 0 (t + 1) in
     let inv_denom = inv_denoms base in
     {
       n;
       deg = t;
       xs;
-      vand;
       ext = basis_rows_with inv_denom base (Array.sub xs (t + 1) (n - t - 1));
       ivand = coeff_rows inv_denom base;
       weights0 = Hashtbl.create 7;
@@ -169,33 +159,19 @@ module Make (F : Field_intf.S) = struct
       full_w0 = None;
     }
 
-  let eval_coeffs plan cs =
-    let len = Array.length cs in
-    if len > plan.deg + 1 then
-      invalid_arg "Grid.eval_coeffs: degree exceeds the plan bound";
-    if len = 0 then Array.make plan.n F.zero
-    else
-      Array.init plan.n (fun i ->
-          let row = plan.vand.(i) in
-          let acc = ref cs.(0) in
-          for d = 1 to len - 1 do
-            acc := F.add !acc (F.mul cs.(d) row.(d))
-          done;
-          !acc)
+  (* ---- dealing ------------------------------------------------- *)
 
-  let eval_poly plan p =
-    let d = P.degree p in
-    if d > plan.deg then
-      invalid_arg "Grid.eval_poly: degree exceeds the plan bound";
-    if d < 0 then Array.make plan.n F.zero
-    else
-      Array.init plan.n (fun i ->
-          let row = plan.vand.(i) in
-          let acc = ref (P.coeff p 0) in
-          for j = 1 to d do
-            acc := F.add !acc (F.mul (P.coeff p j) row.(j))
-          done;
-          !acc)
+  (* Every dealing in the repository is evaluated here, one Horner
+     ({!Poly.Make.eval}) per share at the player's point: exactly the
+     values and ticks of per-share evaluation, and no randomness. The
+     degree is not bounded by the plan's t, so cheating dealings (degree
+     up to n - 1) share the loop. *)
+  let eval_poly plan p = Array.map (P.eval p) plan.xs
+
+  let deal plan polys =
+    Array.map (fun x -> Array.map (fun p -> P.eval p x) polys) plan.xs
+
+  (* ---- full grid ------------------------------------------------- *)
 
   let fits plan values =
     if Array.length values <> plan.n then
@@ -388,33 +364,4 @@ module Make (F : Field_intf.S) = struct
       done;
       arena_checked plan len
     end
-
-  (* ---- batch dealing --------------------------------------------- *)
-
-  (* Evaluate a batch of polynomials (degree <= deg each) at all n grid
-     points. With a field batch kernel ({!Field_intf.S.batch_eval}) the
-     arithmetic runs raw under [Metrics.without_counting] and the model
-     cost is ticked in bulk — exactly what the per-poly Horner path
-     performs: n*d mults and n*d adds for a polynomial of normalized
-     degree d >= 1, nothing for constants — so traced runs stay
-     tick-identical to M sequential {!eval_poly} calls. Kernels draw no
-     randomness, so the PRNG stream is untouched either way. *)
-  let eval_poly_batch plan ps =
-    match F.batch_eval with
-    | None -> Array.map (eval_poly plan) ps
-    | Some kernel ->
-        let m = Array.length ps in
-        let css = Array.make m [||] in
-        let total = ref 0 in
-        for j = 0 to m - 1 do
-          let d = P.degree ps.(j) in
-          if d > plan.deg then
-            invalid_arg "Grid.eval_poly: degree exceeds the plan bound";
-          if d >= 1 then total := !total + (plan.n * d);
-          css.(j) <- P.coeffs ps.(j)
-        done;
-        let out = Metrics.without_counting (fun () -> kernel css plan.xs) in
-        Metrics.tick_mults !total;
-        Metrics.tick_adds !total;
-        out
 end

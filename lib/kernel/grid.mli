@@ -9,10 +9,9 @@
     the setup is the same each time. A {!t} is that setup, computed
     once per [(field, n, t)] session:
 
-    - a transposed-Vandermonde table [x_i^d] for multi-point evaluation
-      of degree-[<= t] polynomials (dealing: one polynomial to all [n]
-      grid points, the table shared across all [M] polynomials of a
-      batch);
+    - the [n] player points themselves, at which every dealing of the
+      repository is evaluated ({!eval_poly} for one polynomial,
+      {!deal} for a dealer's [M] polynomials, player-major);
     - extension rows [L_j(x_i)] of the Lagrange basis over the first
       [t + 1] grid points, turning the Fig. 2/Fig. 3 degree check
       ("do all [n] broadcast values lie on one degree-[<= t]
@@ -36,8 +35,8 @@
     {!Poly} paths (fields are exact; only the association order
     differs, property-tested in [test/test_kernel.ml]), and tick
     {!Metrics} identically where the naive path did: one
-    [tick_interpolation] per degree check or reconstruction, and the
-    same multiplication count as Horner evaluation per dealt share. *)
+    [tick_interpolation] per degree check or reconstruction, and
+    exactly what per-share Horner evaluation ticks per dealt share. *)
 
 module Make (F : Field_intf.S) : sig
   module P : module type of Poly.Make (F)
@@ -67,15 +66,19 @@ module Make (F : Field_intf.S) : sig
       formed raw and those ticks are paid in bulk; without one it is
       that loop. *)
 
-  val eval_coeffs : t -> F.t array -> F.t array
-  (** Evaluate the polynomial with the given coefficients (increasing
-      degree, length [<= t + 1]) at all [n] grid points via the
-      precomputed power table. Same multiplication/addition count as
-      [n] Horner evaluations. *)
-
   val eval_poly : t -> P.t -> F.t array
-  (** [eval_coeffs] on a {!Poly.Make.t} of degree [<= t], without
-      copying its coefficients. *)
+  (** [eval_poly plan f] is one polynomial's share row: [f] at every
+      grid point, [(eval_poly plan f).(i) = P.eval f (point plan i)].
+      Any degree (an honest dealing has degree [<= t], a cheating one
+      up to [n - 1]). Each share is one Horner evaluation, so values
+      and {!Metrics} ticks ([degree f] mults and adds per point) are
+      those of per-share {!Poly.Make.eval}; no randomness is drawn. *)
+
+  val deal : t -> P.t array -> F.t array array
+  (** [deal plan polys] is a dealer's share matrix, player-major:
+      [(deal plan polys).(i).(h) = P.eval polys.(h) (point plan i)],
+      the row player [i] receives. The same per-share evaluation as
+      {!eval_poly}, with the same ticks; no transposed copy is built. *)
 
   val fits : t -> F.t array -> bool
   (** [fits plan values]: do the [n] grid values (indexed by player)
@@ -114,17 +117,6 @@ module Make (F : Field_intf.S) : sig
       (degraded networks deliver duplicates). A [None] means some share
       is faulty or duplicated and an error-correcting decoder must take
       over. @raise Invalid_argument on no points or an id out of range. *)
-
-  val eval_poly_batch : t -> P.t array -> F.t array array
-  (** Deal a batch: evaluate [M] polynomials (each of degree [<= t]) at
-      all [n] grid points; row [j] is [eval_poly plan ps.(j)]. When the
-      field provides a {!Field_intf.S.batch_eval} kernel (NTT/finite
-      differences over [Z_q], log-table [GF(2^k)], bit-sliced wide
-      fields) the arithmetic runs as raw word/table ops and the model
-      cost is ticked in bulk, keeping results, Metrics and the PRNG
-      stream bit-identical to [M] sequential {!eval_poly} calls (pinned
-      by differential tests); otherwise it is exactly that sequential
-      loop. *)
 
   val reconstruct_zero_checked_into :
     t -> ids:int array -> ys:F.t array -> len:int -> F.t option

@@ -47,12 +47,19 @@ module Make (F : Field_intf.S) = struct
       if !first then Format.pp_print_string ppf "0"
     end
 
+  (* Horner as a loop: a local recursive function would allocate its
+     closure on every call, and this is the per-share evaluation of
+     every dealing. *)
   let eval p x =
-    let rec horner i acc =
-      if i < 0 then acc else horner (i - 1) (F.add (F.mul acc x) p.(i))
-    in
-    if Array.length p = 0 then F.zero
-    else horner (Array.length p - 2) p.(Array.length p - 1)
+    let len = Array.length p in
+    if len = 0 then F.zero
+    else begin
+      let acc = ref p.(len - 1) in
+      for i = len - 2 downto 0 do
+        acc := F.add (F.mul !acc x) p.(i)
+      done;
+      !acc
+    end
 
   let add a b =
     let n = max (Array.length a) (Array.length b) in

@@ -32,19 +32,6 @@ module Make (F : Field_intf.S) = struct
     if t >= n then invalid_arg "Shamir.deal: need t < n";
     deal_with (grid ~n ~t) g ~secret
 
-  (* Batch dealing: draw every sharing polynomial first (in secret
-     order — evaluation consumes no randomness, so the PRNG stream is
-     identical to M sequential [deal_with] calls), then evaluate the
-     whole batch through the grid's batch kernel. *)
-  let deal_batch_with plan g ~secrets =
-    let t = G.degree_bound plan in
-    let polys = Array.map (fun secret -> share_poly g ~t ~secret) secrets in
-    G.eval_poly_batch plan polys
-
-  let deal_batch g ~t ~n ~secrets =
-    if t >= n then invalid_arg "Shamir.deal_batch: need t < n";
-    deal_batch_with (grid ~n ~t) g ~secrets
-
   let deal_naive g ~t ~n ~secret =
     if t >= n then invalid_arg "Shamir.deal_naive: need t < n";
     let f = share_poly g ~t ~secret in

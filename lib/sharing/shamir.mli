@@ -32,25 +32,13 @@ module Make (F : Field_intf.S) : sig
 
   val deal_with : G.t -> Prng.t -> secret:F.t -> F.t array
   (** Plan-aware dealing: same polynomial draw as {!deal} with the
-      session plan supplied explicitly (batch dealers evaluate many
-      polynomials through one plan). *)
+      session plan supplied explicitly, evaluated by
+      {!Grid.Make.eval_poly}. *)
 
   val deal_naive : Prng.t -> t:int -> n:int -> secret:F.t -> F.t array
   (** The reference path: per-point Horner evaluation with no
       precomputation. Same PRNG draws and results as {!deal}; kept for
       equivalence tests and benchmarks. *)
-
-  val deal_batch_with : G.t -> Prng.t -> secrets:F.t array -> F.t array array
-  (** Deal [M] sharings in one batch: row [j] holds the [n] shares of
-      [secrets.(j)]. All sharing polynomials are drawn first (secret
-      order), then evaluated through {!Grid.Make.eval_poly_batch}, so
-      shares, PRNG draws and Metrics ticks are bit-identical to [M]
-      sequential {!deal_with} calls — only the wall-clock drops when
-      the field has a batch kernel. *)
-
-  val deal_batch :
-    Prng.t -> t:int -> n:int -> secrets:F.t array -> F.t array array
-  (** {!deal_batch_with} through the cached {!grid} plan. *)
 
   val reconstruct : (int * F.t) list -> F.t
   (** [reconstruct shares] interpolates [f(0)] from [(player, share)]

@@ -11,12 +11,11 @@ module Make (F : Field_intf.S) = struct
     sum_polys : P.t array;
   }
 
-  let eval_all f n = Array.init n (fun i -> P.eval f (S.eval_point i))
-
-  let dealing_of_polys ~n f gs =
+  let dealing_of_polys ~n ~t f gs =
+    let plan = S.grid ~n ~t in
     {
-      alpha = eval_all f n;
-      masks = Array.map (fun gj -> eval_all gj n) gs;
+      alpha = S.G.eval_poly plan f;
+      masks = Array.map (S.G.eval_poly plan) gs;
       mask_polys = gs;
       sum_polys = Array.map (fun gj -> P.add f gj) gs;
     }
@@ -27,7 +26,7 @@ module Make (F : Field_intf.S) = struct
     let gs =
       Array.init rounds (fun _ -> S.share_poly g ~t ~secret:(F.random g))
     in
-    dealing_of_polys ~n f gs
+    dealing_of_polys ~n ~t f gs
 
   let cheating_dealing g ~n ~t ~rounds =
     if t + 1 >= n then invalid_arg "Cut_and_choose_vss: t+1 >= n";
@@ -37,7 +36,7 @@ module Make (F : Field_intf.S) = struct
     let gs =
       Array.init rounds (fun _ -> S.share_poly g ~t ~secret:(F.random g))
     in
-    dealing_of_polys ~n f gs
+    dealing_of_polys ~n ~t f gs
 
   let run ~n ~t ~challenges dealing =
     if Array.length dealing.masks <> Array.length challenges then

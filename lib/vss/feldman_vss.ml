@@ -32,7 +32,7 @@ let commitments_of_poly ~t f =
 
 let honest_dealing g ~n ~t ~secret =
   let f = S.share_poly g ~t ~secret in
-  { shares = Array.init n (fun i -> P.eval f (S.eval_point i));
+  { shares = S.G.eval_poly (S.grid ~n ~t) f;
     commitments = commitments_of_poly ~t f }
 
 let cheating_dealing g ~n ~t ~corrupt =

@@ -12,18 +12,18 @@ module Make (F : Field_intf.S) = struct
 
   type player_behavior = Honest | Silent | Broadcast of F.t
 
-  let eval_all f n = Array.init n (fun i -> P.eval f (S.eval_point i))
-
   let honest_dealing g ~n ~t ~secret = S.deal g ~t ~n ~secret
 
-  let cheating_dealing g ~n ~t ~degree =
+  (* Every dealing below draws its polynomials and has the session
+     plan evaluate them (Grid.eval_poly / Grid.deal), which draws
+     nothing: the PRNG stream is the draws alone. *)
+  let cheating_poly g ~n ~t ~degree =
     if degree <= t then invalid_arg "Vss.cheating_dealing: degree must exceed t";
     if degree >= n then invalid_arg "Vss.cheating_dealing: degree must be < n";
-    let f =
-      P.add (P.random g ~degree:t)
-        (P.monomial (F.random_nonzero g) degree)
-    in
-    eval_all f n
+    P.add (P.random g ~degree:t) (P.monomial (F.random_nonzero g) degree)
+
+  let cheating_dealing g ~n ~t ~degree =
+    S.G.eval_poly (S.grid ~n ~t) (cheating_poly g ~n ~t ~degree)
 
   let targeted_cheating_dealing g ~n ~t ~guess =
     if F.equal guess F.zero then
@@ -36,7 +36,8 @@ module Make (F : Field_intf.S) = struct
     let f = P.add (P.random g ~degree:t) (P.monomial a (t + 1)) in
     let rig = F.neg (F.div a guess) in
     let gp = P.add (P.random g ~degree:t) (P.monomial rig (t + 1)) in
-    (eval_all f n, eval_all gp n)
+    let plan = S.grid ~n ~t in
+    (S.G.eval_poly plan f, S.G.eval_poly plan gp)
 
   (* The per-player broadcast value, shaped by its behaviour. *)
   let announced_gamma behavior honest_value i =
@@ -182,11 +183,8 @@ module Make (F : Field_intf.S) = struct
     !acc
 
   let batch_honest_dealing g ~n ~t ~secrets =
-    (* One plan for all M sharings of the batch; the batch kernel keeps
-       draws, shares and ticks identical to the sequential loop. *)
     let plan = S.grid ~n ~t in
-    let per_secret = S.deal_batch_with plan g ~secrets in
-    Array.init n (fun i -> Array.map (fun shares -> shares.(i)) per_secret)
+    S.G.deal plan (Array.map (fun secret -> S.share_poly g ~t ~secret) secrets)
 
   let batch_cheating_dealing g ~n ~t ~m ~bad =
     List.iter
@@ -194,12 +192,11 @@ module Make (F : Field_intf.S) = struct
         if j < 0 || j >= m then
           invalid_arg "Vss.batch_cheating_dealing: bad index out of range")
       bad;
-    let per_secret =
-      Array.init m (fun j ->
-          if List.mem j bad then cheating_dealing g ~n ~t ~degree:(t + 1)
-          else S.deal g ~t ~n ~secret:(F.random g))
-    in
-    Array.init n (fun i -> Array.map (fun shares -> shares.(i)) per_secret)
+    let plan = S.grid ~n ~t in
+    S.G.deal plan
+      (Array.init m (fun j ->
+           if List.mem j bad then cheating_poly g ~n ~t ~degree:(t + 1)
+           else S.share_poly g ~t ~secret:(F.random g)))
 
   let batch_targeted_cheating_dealing g ~n ~t ~roots =
     let m = Array.length roots in
@@ -229,13 +226,10 @@ module Make (F : Field_intf.S) = struct
        alpha_{i,j} for j = 0..m-1). Give sharing j the offending
        x^(t+1)-coefficient coeff_{j+1}(H), so the combined polynomial's
        x^(t+1) coefficient is H(r). *)
-    let per_secret =
-      Array.init m (fun j ->
-          let base = S.share_poly g ~t ~secret:(F.random g) in
-          let f = P.add base (P.monomial (P.coeff h (j + 1)) (t + 1)) in
-          eval_all f n)
-    in
-    Array.init n (fun i -> Array.map (fun shares -> shares.(i)) per_secret)
+    S.G.deal (S.grid ~n ~t)
+      (Array.init m (fun j ->
+           let base = S.share_poly g ~t ~secret:(F.random g) in
+           P.add base (P.monomial (P.coeff h (j + 1)) (t + 1))))
 
   let gamma_batch ~shares ~r i = combine ~r shares.(i)
 

@@ -1,145 +1,168 @@
-(* Differential tests pinning the batch kernels to their reference
-   twins: field batch_eval vs per-point Horner, batch dealing vs
-   sequential dealing (values, ticks and PRNG stream), bit-sliced wide
+(* Differential tests pinning the grid kernels to their reference
+   twins: the one dealer ([Grid.deal], [Grid.eval_poly]) vs per-share
+   Horner on every field instance and [Bit_gen.deal_matrix] vs its
+   per-share twin (values, ticks and PRNG stream), Karatsuba wide
    multiplication vs schoolbook, the subset reconstruction's array and
    list entry points vs plain interpolation and the degree check, and
    Coin-Expose [run] vs the list-based [Coin_expose_reference] (values,
    ticks, traces and ledger evidence). *)
 
+(* ---- one dealer = per-share Horner, per field ---------------------- *)
+
+(* Each side of a comparison is a whole dealing: draw the polynomials
+   from a PRNG seeded alike, then evaluate them. The reference
+   evaluates each share with [Poly.eval] at a freshly computed player
+   point, the form every dealer had before [Grid]; the two must agree
+   on the values, on the Metrics ticks of the whole dealing and on the
+   PRNG state after it. The polynomials cover the zero polynomial, a
+   constant, degree t and every cheating degree up to n - 1. Each side
+   runs once uncounted first: a plan's construction is ticked once per
+   session (and per functor instance's plan table), not per dealing. *)
+module Dealer_laws (F : Field_intf.S) = struct
+  module S = Shamir.Make (F)
+  module P = S.P
+  module V = Vss.Make (F)
+
+  let draw g ~n ~t =
+    let fixed =
+      [ P.zero; P.constant (F.random g); S.share_poly g ~t ~secret:(F.random g) ]
+    in
+    let cheating =
+      List.init (n - 1 - t) (fun k ->
+          P.add (P.random g ~degree:t)
+            (P.monomial (F.random_nonzero g) (t + 1 + k)))
+    in
+    Array.of_list (fixed @ cheating)
+
+  let per_share p ~n = Array.init n (fun i -> P.eval p (S.eval_point i))
+
+  let same_rows = Array.for_all2 (Array.for_all2 F.equal)
+
+  (* Run both dealings from one seed; fail unless values, ticks and the
+     next PRNG output agree. *)
+  let agree label ~seed ~equal dealer reference =
+    ignore (dealer (Prng.of_int seed));
+    ignore (reference (Prng.of_int seed));
+    let g1 = Prng.of_int seed and g2 = Prng.of_int seed in
+    let a, ta = Metrics.with_counting (fun () -> dealer g1) in
+    let b, tb = Metrics.with_counting (fun () -> reference g2) in
+    if not (equal a b) then Alcotest.failf "%s: values diverge" label;
+    if ta <> tb then Alcotest.failf "%s: ticks diverge" label;
+    if Prng.next_int64 g1 <> Prng.next_int64 g2 then
+      Alcotest.failf "%s: PRNG state diverges" label
+
+  let check ~n ~t ~seed =
+    let plan = S.grid ~n ~t in
+    let label what = Printf.sprintf "%s n=%d t=%d %s" F.name n t what in
+    agree (label "deal") ~seed ~equal:same_rows
+      (fun g -> S.G.deal plan (draw g ~n ~t))
+      (fun g ->
+        let polys = draw g ~n ~t in
+        Array.init n (fun i ->
+            Array.map (fun p -> P.eval p (S.eval_point i)) polys));
+    agree (label "eval_poly") ~seed ~equal:same_rows
+      (fun g -> Array.map (S.G.eval_poly plan) (draw g ~n ~t))
+      (fun g -> Array.map (per_share ~n) (draw g ~n ~t));
+    agree (label "Shamir.deal") ~seed ~equal:(Array.for_all2 F.equal)
+      (fun g -> S.deal g ~t ~n ~secret:(F.random g))
+      (fun g -> S.deal_naive g ~t ~n ~secret:(F.random g));
+    agree (label "Vss.batch_honest_dealing") ~seed ~equal:same_rows
+      (fun g -> V.batch_honest_dealing g ~n ~t ~secrets:[| F.one; F.zero |])
+      (fun g ->
+        let per_secret =
+          Array.map
+            (fun secret -> S.deal_naive g ~t ~n ~secret)
+            [| F.one; F.zero |]
+        in
+        Array.init n (fun i -> Array.map (fun row -> row.(i)) per_secret))
+
+  let run seed =
+    List.iteri
+      (fun k (n, t) -> check ~n ~t ~seed:(seed + k))
+      [ (1, 0); (4, 1); (7, 2); (13, 2); (13, 4) ]
+end
+
+module GF32U = Gf2k.Make_untabled (struct let k = 32 end)
+module P97 = Zp.Make (struct let p = 97 end)
 module Q97 = Zq_table.Make (struct let q = 97 end)
 
-(* ---- batch_eval = Horner, per field ------------------------------- *)
+let test_dealer_matches_horner () =
+  let module D16 = Dealer_laws (Gf2k.GF16) in
+  let module D32 = Dealer_laws (Gf2k.GF32) in
+  let module DU = Dealer_laws (GF32U) in
+  let module DP = Dealer_laws (P97) in
+  let module DQ = Dealer_laws (Q97) in
+  let module DF = Dealer_laws (Fft_field.GF_k64) in
+  let module DW = Dealer_laws (Gf2_wide.GF64) in
+  D16.run 101;
+  D32.run 201;
+  DU.run 301;
+  DP.run 401;
+  DQ.run 501;
+  DF.run 601;
+  DW.run 701
 
-module Batch_eval_laws (F : Field_intf.S) = struct
-  let horner cs x =
-    let acc = ref F.zero in
-    for i = Array.length cs - 1 downto 0 do
-      acc := F.add (F.mul !acc x) cs.(i)
-    done;
-    !acc
+(* ---- Bit_gen.deal_matrix = its per-share twin --------------------- *)
 
-  let check ~name ~polys ~pts =
-    match F.batch_eval with
-    | None -> ()
-    | Some kernel ->
-        let out = kernel polys pts in
-        Array.iteri
-          (fun j cs ->
-            Array.iteri
-              (fun i x ->
-                if not (F.equal out.(j).(i) (horner cs x)) then
-                  Alcotest.failf "%s: poly %d at point %d diverges from Horner"
-                    name j i)
-              pts)
-          polys
+(* Every dealer behaviour, at the pool-refill and beacon shapes: the
+   share matrix, the ticks and the PRNG state after the dealing (the
+   [Inconsistent_to] garbage rows are drawn after the polynomials) must
+   be those of the per-share form kept in [Bit_gen_reference]. One
+   uncounted dealing first builds the plan [Bit_gen] deals through. *)
+module Deal_matrix_laws (F : Field_intf.S) = struct
+  module BG = Bit_gen.Make (F)
+  module R = Bit_gen_reference.Make (F)
 
-  let run seed =
-    let g = Prng.of_int seed in
-    let rand_poly d = Array.init d (fun _ -> F.random g) in
-    (* M = 1, points not a power of two *)
-    check ~name:"M=1"
-      ~polys:[| rand_poly 4 |]
-      ~pts:(Array.init 7 (fun _ -> F.random g));
-    (* duplicate evaluation points *)
-    let x = F.random g in
-    check ~name:"dup points"
-      ~polys:(Array.init 3 (fun _ -> rand_poly 5))
-      ~pts:[| x; x; F.random g; x |];
-    (* t = 0: constant polynomials *)
-    check ~name:"constants"
-      ~polys:(Array.init 4 (fun _ -> rand_poly 1))
-      ~pts:(Array.init 5 (fun _ -> F.random g));
-    (* the grid shape: consecutive small points, the FD/AP route in
-       table fields *)
-    check ~name:"AP grid"
-      ~polys:(Array.init 6 (fun _ -> rand_poly 4))
-      ~pts:(Array.init 13 (fun i -> F.of_int (i + 1)));
-    (* mixed degrees: empty vector (zero poly) and trailing zeros *)
-    check ~name:"mixed degrees"
-      ~polys:
-        [|
-          [||];
-          rand_poly 1;
-          rand_poly 8;
-          Array.append (rand_poly 3) [| F.zero; F.zero |];
-        |]
-      ~pts:(Array.init 13 (fun _ -> F.random g))
+  let behaviors ~n ~m g : (string * BG.dealer_behavior) list =
+    [
+      ("honest", BG.Honest_dealer);
+      ("honest zero", BG.Honest_zero_dealer);
+      ("silent", BG.Silent_dealer);
+      ("bad degree", BG.Bad_degree [ 0; m - 1 ]);
+      ("inconsistent", BG.Inconsistent_to [ 1; n - 1 ]);
+      ( "matrix",
+        BG.Matrix (Array.init n (fun _ -> Array.init m (fun _ -> F.random g))) );
+    ]
+
+  let same a b =
+    match (a, b) with
+    | Some a, Some b -> Array.for_all2 (Array.for_all2 F.equal) a b
+    | None, None -> true
+    | _ -> false
+
+  let run ~n ~t ~m seed =
+    ignore (BG.deal_matrix BG.Honest_dealer (Prng.of_int seed) ~n ~t ~m);
+    List.iter
+      (fun (name, behavior) ->
+        let g1 = Prng.of_int seed and g2 = Prng.of_int seed in
+        let a, ta =
+          Metrics.with_counting (fun () -> BG.deal_matrix behavior g1 ~n ~t ~m)
+        in
+        let b, tb =
+          Metrics.with_counting (fun () -> R.deal_matrix behavior g2 ~n ~t ~m)
+        in
+        let label = Printf.sprintf "%s n=%d m=%d %s" F.name n m name in
+        if not (same a b) then Alcotest.failf "%s: matrices diverge" label;
+        if ta <> tb then Alcotest.failf "%s: ticks diverge" label;
+        if Prng.next_int64 g1 <> Prng.next_int64 g2 then
+          Alcotest.failf "%s: PRNG state diverges" label)
+      (behaviors ~n ~m (Prng.of_int (seed + 1)))
 end
 
-let test_batch_eval_matches_horner () =
-  let module B16 = Batch_eval_laws (Gf2k.GF16) in
-  let module B64 = Batch_eval_laws (Fft_field.GF_k64) in
-  let module BQ = Batch_eval_laws (Q97) in
-  let module BW64 = Batch_eval_laws (Gf2_wide.GF64) in
-  B16.run 101;
-  B64.run 102;
-  BQ.run 103;
-  BW64.run 104
+let test_deal_matrix_matches_twin () =
+  let module D32 = Deal_matrix_laws (Gf2k.GF32) in
+  let module D16 = Deal_matrix_laws (Gf2k.GF16) in
+  D32.run ~n:13 ~t:2 ~m:32 1301;
+  D32.run ~n:7 ~t:1 ~m:64 701;
+  D16.run ~n:4 ~t:1 ~m:3 401
 
-(* ---- batch dealing = sequential dealing --------------------------- *)
+(* ---- Karatsuba wide multiplication -------------------------------- *)
 
-module Deal_laws (F : Field_intf.S) = struct
-  module S = Shamir.Make (F)
-
-  let check ~n ~t ~m ~seed =
-    let plan = S.grid ~n ~t in
-    let gs = Prng.of_int (seed + 1) in
-    let secrets = Array.init m (fun _ -> F.random gs) in
-    let g1 = Prng.of_int seed and g2 = Prng.of_int seed in
-    let batch, s1 =
-      Metrics.with_counting (fun () -> S.deal_batch_with plan g1 ~secrets)
-    in
-    let seq, s2 =
-      Metrics.with_counting (fun () ->
-          Array.map (fun secret -> S.deal_with plan g2 ~secret) secrets)
-    in
-    if not (Array.for_all2 (Array.for_all2 F.equal) batch seq) then
-      Alcotest.failf "deal_batch diverges at n=%d t=%d m=%d" n t m;
-    if s1 <> s2 then
-      Alcotest.failf "deal_batch ticks diverge at n=%d t=%d m=%d" n t m;
-    (* both paths must leave the PRNG in the same state *)
-    if not (F.equal (F.random g1) (F.random g2)) then
-      Alcotest.failf "deal_batch PRNG stream diverges at n=%d t=%d m=%d" n t m
-
-  let run seed =
-    check ~n:7 ~t:0 ~m:3 ~seed;
-    check ~n:7 ~t:2 ~m:1 ~seed:(seed + 10);
-    check ~n:13 ~t:4 ~m:8 ~seed:(seed + 20);
-    check ~n:10 ~t:3 ~m:5 ~seed:(seed + 30)
-end
-
-let test_deal_batch_matches_sequential () =
-  let module D16 = Deal_laws (Gf2k.GF16) in
-  let module D64 = Deal_laws (Fft_field.GF_k64) in
-  let module DQ = Deal_laws (Q97) in
-  D16.run 201;
-  D64.run 202;
-  DQ.run 203
-
-(* ---- bit-sliced wide kernels -------------------------------------- *)
-
-module Sliced_laws (W : Gf2_wide.S) = struct
+(* The dispatching [mul] and explicit Karatsuba both agree with
+   schoolbook, whichever side of the limb threshold the field is on. *)
+module Karatsuba_laws (W : Gf2_wide.S) = struct
   let run seed =
     let g = Prng.of_int seed in
-    let lanes = W.Sliced.lanes in
-    let xs = Array.init lanes (fun _ -> W.random g) in
-    let ys = Array.init lanes (fun _ -> W.random g) in
-    let rt = W.Sliced.unslice (W.Sliced.slice xs) in
-    Array.iteri
-      (fun i x ->
-        if not (W.equal x rt.(i)) then
-          Alcotest.failf "slice/unslice roundtrip broke lane %d" i)
-      xs;
-    let prod =
-      W.Sliced.unslice (W.Sliced.mul (W.Sliced.slice xs) (W.Sliced.slice ys))
-    in
-    Array.iteri
-      (fun i p ->
-        if not (W.equal p (W.mul_schoolbook xs.(i) ys.(i))) then
-          Alcotest.failf "sliced mul diverges from schoolbook at lane %d" i)
-      prod;
-    (* the dispatching [mul] and explicit Karatsuba both agree with
-       schoolbook, whichever side of the limb threshold the field is on *)
     for i = 1 to 200 do
       let a = W.random g and b = W.random g in
       let s = W.mul_schoolbook a b in
@@ -150,13 +173,13 @@ module Sliced_laws (W : Gf2_wide.S) = struct
     done
 end
 
-let test_sliced_and_karatsuba () =
-  let module S64 = Sliced_laws (Gf2_wide.GF64) in
-  let module S128 = Sliced_laws (Gf2_wide.GF128) in
-  let module S256 = Sliced_laws (Gf2_wide.GF256) in
-  S64.run 301;
-  S128.run 302;
-  S256.run 303
+let test_karatsuba () =
+  let module K64 = Karatsuba_laws (Gf2_wide.GF64) in
+  let module K128 = Karatsuba_laws (Gf2_wide.GF128) in
+  let module K256 = Karatsuba_laws (Gf2_wide.GF256) in
+  K64.run 301;
+  K128.run 302;
+  K256.run 303
 
 (* ---- array entry point = list entry point ------------------------- *)
 
@@ -420,12 +443,11 @@ let test_pool_traced_parity () =
 
 let suite =
   [
-    Alcotest.test_case "batch_eval matches Horner" `Quick
-      test_batch_eval_matches_horner;
-    Alcotest.test_case "deal_batch matches sequential deals" `Quick
-      test_deal_batch_matches_sequential;
-    Alcotest.test_case "sliced and karatsuba match schoolbook" `Quick
-      test_sliced_and_karatsuba;
+    Alcotest.test_case "one dealer = per-share Horner" `Quick
+      test_dealer_matches_horner;
+    Alcotest.test_case "deal_matrix = per-share twin" `Quick
+      test_deal_matrix_matches_twin;
+    Alcotest.test_case "karatsuba matches schoolbook" `Quick test_karatsuba;
     Alcotest.test_case "arena reconstruct matches list twin" `Quick
       test_arena_reconstruct_matches_list;
     Alcotest.test_case "coin-expose run matches reference" `Quick

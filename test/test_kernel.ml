@@ -287,7 +287,9 @@ struct
     let plan = G.make ~n ~t in
     let g = Prng.of_int 1313 in
     let cs = Array.init b (fun _ -> F.random g) in
-    let values = Metrics.without_counting (fun () -> G.eval_coeffs plan cs) in
+    let values =
+      Metrics.without_counting (fun () -> G.eval_poly plan (G.P.of_coeffs cs))
+    in
     let off r =
       let v = Array.copy values in
       v.(b + r) <- Metrics.without_counting (fun () -> F.add v.(b + r) F.one);

@@ -64,7 +64,7 @@ let test_pool_save_restore () =
   let saved = PL.save p in
   let before = PL.stats p in
   let q =
-    PL.restore ~prng:(Prng.of_int 999) ~batch_size:16 ~refill_threshold:3 saved
+    PL.load ~prng:(Prng.of_int 999) ~batch_size:16 ~refill_threshold:3 saved
   in
   let after = PL.stats q in
   Alcotest.(check int) "available preserved" (PL.available p) (PL.available q);
