@@ -285,6 +285,46 @@ let coin_expose_ledger ~n ~t ~iters =
   measure ~op:"coin_expose_ledger" ~field:"GF(2^16)" ~n ~t ~m:1 ~iters
     ~naive ~plan:plan_op
 
+(* One Coin-Gen refill at the pool-refill workload's shape (GF(2^32),
+   n = 13, t = 2, M = 32, an ideal seed oracle, nobody cheating): the
+   per-coin dealing and gamma combine, the decodes, gradecast and BA.
+   Naive: the same run over the untabled twin field, which has neither
+   the [dot] nor the [horner] kernel, so every product is a ticked
+   shift-and-xor loop. Plan: the production GF(2^32). The two batches
+   must agree repr for repr; the gate then holds the refill's mult
+   count and the plan side's allocation. *)
+let coin_gen_refill ~iters =
+  let n = 13 and t = 2 and m = 32 in
+  let module F32 = Gf2k.GF32 in
+  let module F32U = Gf2k.Make_untabled (struct let k = 32 end) in
+  let module CG = Coin_gen.Make (F32) in
+  let module CGU = Coin_gen.Make (F32U) in
+  let refill (type e) (module F : Field_intf.S with type t = e) run () =
+    let g = Prng.of_int 7177 in
+    run
+      ~prng:(Prng.of_int 7919)
+      ~oracle:(fun () -> Metrics.without_counting (fun () -> F.random g))
+  in
+  let plan_op =
+    refill (module F32) (fun ~prng ~oracle -> CG.run ~prng ~oracle ~n ~t ~m ())
+  in
+  let naive =
+    refill (module F32U) (fun ~prng ~oracle -> CGU.run ~prng ~oracle ~n ~t ~m ())
+  in
+  check_same "coin_gen_refill: batches diverge"
+    (match (plan_op (), naive ()) with
+    | Some a, Some b ->
+        a.CG.dealers = b.CGU.dealers
+        && a.CG.trusted = b.CGU.trusted
+        && a.CG.ba_iterations = b.CGU.ba_iterations
+        && a.CG.seed_coins_consumed = b.CGU.seed_coins_consumed
+        && Array.for_all2
+             (Array.for_all2 (fun x u -> F32.repr x = F32U.repr u))
+             a.CG.shares b.CGU.shares
+    | _ -> false);
+  measure ~op:"coin_gen_refill" ~field:"GF(2^32)" ~n ~t ~m ~iters ~naive
+    ~plan:plan_op
+
 (* The <2% ledger-overhead budget on the optimized path: the same [run]
    with and without a passive ledger installed. The overhead is
    percent-level on a ~2us op, below single-pair noise, so the whole
@@ -494,6 +534,8 @@ let run ~smoke ~path =
          so this entry needs long blocks: its own iteration budget, far
          above the shared [iters]. *)
       coin_expose_ledger ~n:(min n 13) ~t:(min t 2) ~iters:20_000;
+      (* A refill is ~0.3 ms on the plan side and several ms naive. *)
+      coin_gen_refill ~iters:(if smoke then 5 else 50);
     ]
   in
   let overhead = ledger_overhead ~n:(min n 13) ~t:(min t 2) ~iters:20_000 in
@@ -503,9 +545,10 @@ let run ~smoke ~path =
     \  \"schema\": \"dprbg-bench/2\",\n\
     \  \"mode\": %S,\n\
     \  \"description\": \"naive = reference paths (untabled GF(2^16), \
-     per-call Lagrange/Horner, list-based exposure); plan = grid kernels \
-     (one Horner dealer, cached degree checks and weights), arena \
-     reconstruct. alloc_w = allocated words per op (Gc.allocated_bytes \
+     per-call Lagrange/Horner, list-based exposure; the coin_gen_refill \
+     row: untabled GF(2^32)); plan = grid kernels (one Horner dealer, \
+     cached degree checks and weights), arena reconstruct, the GF(2^32) \
+     dot and horner kernels. alloc_w = allocated words per op (Gc.allocated_bytes \
      deltas)\",\n\
     \  \"entries\": [\n%s\n  ]\n}\n"
     (if smoke then "smoke" else "full")

@@ -33,6 +33,39 @@ let best_supported ~equal received =
   in
   scan None 0 received
 
+(* The entries are the list [best_supported] would get from filtering
+   out the [None]s, in the same order, so the same entry wins (the
+   first to reach the maximum) and an entry equal to the best so far is
+   not recounted. *)
+let tally_slot ~equal (echoes : 'v option array array) ~len ~slot winner =
+  let best = ref (-1) and best_count = ref 0 in
+  for a = 0 to len - 1 do
+    match echoes.(a).(slot) with
+    | None -> ()
+    | Some v ->
+        let recount =
+          !best < 0
+          ||
+          match echoes.(!best).(slot) with
+          | Some b -> not (equal b v)
+          | None -> true
+        in
+        if recount then begin
+          let c = ref 0 in
+          for e = 0 to len - 1 do
+            match echoes.(e).(slot) with
+            | Some w when equal v w -> incr c
+            | Some _ | None -> ()
+          done;
+          if !c > !best_count then begin
+            best := a;
+            best_count := !c
+          end
+        end
+  done;
+  winner := !best;
+  !best_count
+
 let run_all ?(dealer_behavior = fun _ -> Dealer_honest)
     ?(follower_behavior = fun _ -> Follower_honest) ~equal ~byte_size ~n ~t
     ~values () =
@@ -48,38 +81,62 @@ let run_all ?(dealer_behavior = fun _ -> Dealer_honest)
       0 v
   in
   let net = Transport.create ~n ~byte_size:vec_size () in
-  (* Round 1: every dealer distributes its value in its own slot. *)
+  (* Every round is read in place ([Transport.Inbox]): a player's
+     vectors are gathered into [echoes], reused by every player and
+     round, and each slot is tallied there. *)
+  let echoes = ref (Array.make n [||]) and winner = ref (-1) in
+  let gather inbox i =
+    let cap = Transport.Inbox.max_length inbox in
+    if Array.length !echoes < cap then echoes := Array.make cap [||];
+    let echoes = !echoes in
+    Transport.Inbox.fold inbox ~dst:i
+      (fun _ msg len ->
+        echoes.(len) <- msg;
+        len + 1)
+      0
+  in
+  (* Round 1: every dealer distributes its value in its own slot; an
+     honest dealer sends one vector to every destination. *)
   let inbox1 =
-    Transport.exchange net ~send:(fun () ->
+    Transport.exchange_inbox net ~send:(fun () ->
         for d = 0 to n - 1 do
-          let slot =
-            match dealer_behavior d with
-            | Dealer_honest ->
-                let v = Some (values d) in
-                fun _ -> v
-            | Dealer_silent -> fun _ -> None
-            | Dealer_equivocate f -> f
-          in
-          Transport.send_to_all net ~src:d (fun dst ->
+          match dealer_behavior d with
+          | Dealer_honest ->
               let msg = Array.make n None in
-              msg.(d) <- slot dst;
-              msg)
+              msg.(d) <- Some (values d);
+              Transport.send_to_all net ~src:d (fun _ -> msg)
+          | Dealer_silent ->
+              let msg = Array.make n None in
+              Transport.send_to_all net ~src:d (fun _ -> msg)
+          | Dealer_equivocate f ->
+              Transport.send_to_all net ~src:d (fun dst ->
+                  let msg = Array.make n None in
+                  msg.(d) <- f dst;
+                  msg)
         done)
   in
+  (* Slot d of player i: what the first message from dealer d carried
+     there. *)
   let received_from_dealer =
     Array.init n (fun i ->
-        Array.init n (fun d ->
-            match List.assoc_opt d inbox1.(i) with
-            | Some msg -> msg.(d)
-            | None -> None))
+        let slots = Array.make n None and heard = Array.make n false in
+        Transport.Inbox.fold inbox1 ~dst:i
+          (fun d msg () ->
+            if not heard.(d) then begin
+              heard.(d) <- true;
+              slots.(d) <- msg.(d)
+            end)
+          ();
+        slots)
   in
   (* A follower's echo vector for one round, given its honest choices. *)
   let echo_round round honest_choices =
-    Transport.exchange net ~send:(fun () ->
+    Transport.exchange_inbox net ~send:(fun () ->
         for i = 0 to n - 1 do
           match follower_behavior i with
           | Follower_honest ->
-              Transport.send_to_all net ~src:i (fun _ -> honest_choices.(i))
+              let choices = honest_choices.(i) in
+              Transport.send_to_all net ~src:i (fun _ -> choices)
           | Follower_silent -> ()
           | Follower_fixed v ->
               Transport.send_to_all net ~src:i (fun _ -> Array.make n (Some v))
@@ -94,23 +151,23 @@ let run_all ?(dealer_behavior = fun _ -> Dealer_honest)
   (* Round 3: per slot, re-echo a value with n - t support. *)
   let choices =
     Array.init n (fun i ->
+        let len = gather inbox2 i in
         Array.init n (fun d ->
-            let echoes =
-              List.filter_map (fun (_, msg) -> msg.(d)) inbox2.(i)
-            in
-            match best_supported ~equal echoes with
-            | Some v, c when c >= n - t -> Some v
-            | _ -> None))
+            if tally_slot ~equal !echoes ~len ~slot:d winner >= n - t then
+              !echoes.(!winner).(d)
+            else None))
   in
   let inbox3 = echo_round 3 choices in
   let outcomes =
     Array.init n (fun i ->
+        let len = gather inbox3 i in
         Array.init n (fun d ->
-            let echoes = List.filter_map (fun (_, msg) -> msg.(d)) inbox3.(i) in
-            match best_supported ~equal echoes with
-            | Some v, c when c >= n - t -> { value = Some v; confidence = 2 }
-            | Some v, c when c >= t + 1 -> { value = Some v; confidence = 1 }
-            | _ -> { value = None; confidence = 0 }))
+            let c = tally_slot ~equal !echoes ~len ~slot:d winner in
+            if c >= n - t then
+              { value = !echoes.(!winner).(d); confidence = 2 }
+            else if c >= t + 1 then
+              { value = !echoes.(!winner).(d); confidence = 1 }
+            else { value = None; confidence = 0 }))
   in
   (* Ledger evidence per dealer slot. Two different confidence >= 1
      values is equivocation: each carried t + 1 third-round echoes, and

@@ -42,6 +42,21 @@ val best_supported : equal:('v -> 'v -> bool) -> 'v list -> 'v option * int
     all agree costs one comparison per element after the first full
     count. *)
 
+val tally_slot :
+  equal:('v -> 'v -> bool) ->
+  'v option array array ->
+  len:int ->
+  slot:int ->
+  int ref ->
+  int
+(** [tally_slot ~equal echoes ~len ~slot winner] is {!best_supported}
+    over the present entries of slot [slot] in the first [len] echo
+    vectors, in order, computed in place with no list built: it returns
+    the support and leaves in [winner] the index of the vector whose
+    entry won ([-1] when every entry is [None]), so the winning value is
+    [echoes.(!winner).(slot)] itself, not a copy. {!run_all} grades
+    every slot of every round with it. *)
+
 val run :
   ?dealer_behavior:'v dealer_behavior ->
   ?follower_behavior:(int -> 'v follower_behavior) ->
@@ -73,4 +88,6 @@ val run_all :
     [Coin-Gen] step 7 uses. [result.(receiver).(dealer)] is what
     [receiver] outputs for [dealer]'s cast. A follower behaviour applies
     uniformly across all [n] dealer slots (its echo vector repeats the
-    lie per slot). Ticks [n] grade-casts but only 3 rounds. *)
+    lie per slot). Ticks [n] grade-casts but only 3 rounds. Each round
+    is read in place ({!Transport.Inbox}) and each slot graded with
+    {!tally_slot}, so no echo list is built. *)

@@ -89,21 +89,44 @@ module Make (F : Field_intf.S) = struct
           (Some f, in_support)
       | Some _ | None -> (None, Array.make n false)
 
+  type decoder = {
+    d_n : int;
+    d_t : int;
+    plan : S.G.t;
+    values : F.t array; (* the gathered vector of the fast path *)
+    full : bool array; (* the support of every fast-path decode *)
+  }
+
+  let decoder ~n ~t =
+    {
+      d_n = n;
+      d_t = t;
+      plan = S.grid ~n ~t;
+      values = Array.make n F.zero;
+      full = Array.make n true;
+    }
+
   (* Fig. 4 step 5: decode F through the gammas with >= n - t support.
      Fast path: when all n gammas are present and lie on one degree-<= t
      polynomial, that polynomial is the unique Berlekamp-Welch decode
      (n >= t + 1 + 2e) and every point supports it, so one grid check
      and one coefficient read-off replace the decoder. Berlekamp-Welch
-     runs only on a vector that is incomplete or off its polynomial. *)
-  let decode_check ~n ~t gammas =
-    let fast =
-      if Array.for_all Option.is_some gammas then
-        S.G.interpolate_checked (S.grid ~n ~t) (Array.map Option.get gammas)
-      else None
-    in
-    match fast with
-    | Some coeffs -> (Some (P.of_coeffs coeffs), Array.make n true)
-    | None -> decode_bw ~n ~t gammas
+     runs only on a vector that is incomplete or off its polynomial.
+     The vector is gathered into the decoder's scratch first. *)
+  let decode d gammas =
+    let complete = ref true in
+    for k = 0 to d.d_n - 1 do
+      match gammas.(k) with
+      | Some v -> d.values.(k) <- v
+      | None -> complete := false
+    done;
+    match
+      if !complete then S.G.interpolate_checked d.plan d.values else None
+    with
+    | Some coeffs -> (Some (P.of_coeffs coeffs), d.full)
+    | None -> decode_bw ~n:d.d_n ~t:d.d_t gammas
+
+  let decode_check ~n ~t gammas = decode (decoder ~n ~t) gammas
 
   let run ?(dealer_behavior = Honest_dealer)
       ?(gamma_behavior = fun _ -> Honest_gamma) ~prng ~n ~t ~m ~dealer ~r () =

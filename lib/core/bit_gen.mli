@@ -91,6 +91,20 @@ module Make (F : Field_intf.S) : sig
       check polynomial per dealer and reads its support as the graph
       edges. *)
 
+  type decoder
+  (** {!decode_check}'s per-session state for one [(n, t)]: the grid
+      plan, looked up once, and a scratch vector that every decode
+      gathers its gammas into. Not re-entrant. *)
+
+  val decoder : n:int -> t:int -> decoder
+
+  val decode : decoder -> F.t option array -> P.t option * bool array
+  (** [decode (decoder ~n ~t) gammas] is [decode_check ~n ~t gammas]
+      with no per-call lookup or gather allocation: Coin-Gen decodes
+      its [n^2] vectors through one decoder. Every fast-path answer
+      shares the decoder's one all-[true] support array, so a support
+      must be read, never written. *)
+
   val deal_matrix :
     dealer_behavior -> Prng.t -> n:int -> t:int -> m:int -> F.t array array option
   (** Fig. 4 step 1 in isolation: the share matrix

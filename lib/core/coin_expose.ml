@@ -23,11 +23,16 @@ module Make (F : Field_intf.S) = struct
         ~codec:(Codec.encode_elt, Codec.decode_elt)
         ~n ~byte_size:elt_byte_size ()
     in
+    (* Every honest sender's row is read through one closure and the
+       sender cell, not a closure per sender. *)
+    let sender = ref 0 in
+    let own_share _ = coin.C.shares.(!sender) in
     Transport.exchange_inbox net ~send:(fun () ->
         for i = 0 to n - 1 do
           match sender_behavior i with
           | Honest ->
-              Transport.send_to_all net ~src:i (fun _ -> coin.C.shares.(i))
+              sender := i;
+              Transport.send_to_all net ~src:i own_share
           | Silent -> ()
           | Send v -> Transport.send_to_all net ~src:i (fun _ -> v)
           | Equivocate f ->

@@ -11,10 +11,10 @@ module Make (F : Field_intf.S) = struct
 
   type payload = { clique : int list; polys : (int * F.t array) list }
 
+  let coeffs_equal x y =
+    Array.length x = Array.length y && Array.for_all2 F.equal x y
+
   let payload_equal a b =
-    let coeffs_equal x y =
-      Array.length x = Array.length y && Array.for_all2 F.equal x y
-    in
     a == b
     || a.clique = b.clique
     && List.length a.polys = List.length b.polys
@@ -87,6 +87,15 @@ module Make (F : Field_intf.S) = struct
       if bits.(b) then acc := !acc lor (1 lsl b)
     done;
     !acc mod n
+
+  (* Does [share_ok j k] hold for every dealer k? Stops at the first
+     that fails. *)
+  let all_on share_ok dealers j =
+    let k = ref 0 in
+    while !k < Array.length dealers && share_ok j dealers.(!k) do
+      incr k
+    done;
+    !k = Array.length dealers
 
   (* A payload is structurally valid for parameters (n, t) if its clique
      is a sorted duplicate-free subset of the players and it carries one
@@ -186,12 +195,28 @@ module Make (F : Field_intf.S) = struct
             match adversary.as_gamma i with
             | Honest_vec ->
                 let vec =
-                  Array.mapi
-                    (fun j shares_opt ->
-                      Option.map
-                        (fun shares -> V.combine ~r:check_coins.(j) shares)
-                        shares_opt)
-                    received.(i)
+                  if share_check_coin then begin
+                    (* One Horner call over every present dealer's
+                       shares at the shared coin; an absent dealer is
+                       an empty row, which costs nothing. *)
+                    let rows =
+                      Array.map
+                        (function Some shares -> shares | None -> [||])
+                        received.(i)
+                    in
+                    let out = Array.make n F.zero in
+                    V.combine_rows ~r:check_coins.(0) rows out;
+                    Array.mapi
+                      (fun j -> function Some _ -> Some out.(j) | None -> None)
+                      received.(i)
+                  end
+                  else
+                    Array.mapi
+                      (fun j shares_opt ->
+                        Option.map
+                          (fun shares -> V.combine ~r:check_coins.(j) shares)
+                          shares_opt)
+                      received.(i)
                 in
                 Transport.send_to_all gamma_net ~src:i (fun _ -> vec)
             | Silent_vec -> ()
@@ -221,24 +246,30 @@ module Make (F : Field_intf.S) = struct
          faulty dealer with valid but non-zero sharings would poison
          every honest clique and stall the agreement loop. *)
       Trace.span Trace.Phase "coin-gen.decode" @@ fun () ->
+      (* Every gamma column is gathered into one reused vector and
+         decoded through one decoder (one plan lookup). *)
+      let decoder = BG.decoder ~n ~t and column = Array.make n None in
       Array.init n (fun i ->
           let row =
             Array.init n (fun j ->
-                let gam_j = Array.init n (fun k -> gammas.(i).(k).(j)) in
-                match BG.decode_check ~n ~t gam_j with
+                for k = 0 to n - 1 do
+                  column.(k) <- gammas.(i).(k).(j)
+                done;
+                match BG.decode decoder column with
                 | Some f, _
                   when zero_secrets && not (F.equal (P.eval f F.zero) F.zero)
                   ->
                     (None, Array.make n false)
                 | result -> result)
           in
-          Trace.event (fun () ->
-              let decoded =
-                Array.fold_left
-                  (fun acc (f, _) -> if Option.is_some f then acc + 1 else acc)
-                  0 row
-              in
-              Trace.Reconstruct { player = i; ok = decoded >= n - t });
+          if Trace.enabled () then
+            Trace.event (fun () ->
+                let decoded =
+                  Array.fold_left
+                    (fun acc (f, _) -> if Option.is_some f then acc + 1 else acc)
+                    0 row
+                in
+                Trace.Reconstruct { player = i; ok = decoded >= n - t });
           row)
     in
     (* A dealing undecodable at t + 1 players is the dealer's fault:
@@ -306,7 +337,7 @@ module Make (F : Field_intf.S) = struct
           if same (Array.length coeffs - 1) then Some support else None
       | _ -> None
     in
-    let share_check i pay =
+    let build_share_check i pay =
       (* Indexed by dealer; a well-formed payload carries exactly one
          polynomial per clique member, and only clique members are
          asked about. *)
@@ -327,11 +358,24 @@ module Make (F : Field_intf.S) = struct
       fun j k ->
         match on_fk.(k) with Some on -> on j | None -> raise Not_found
     in
+    (* The predicate depends on the payload's polynomials alone, so
+       player i keeps the last one it built: the final [trusted] matrix
+       reads the one condition (iii) built for the accepted payload. *)
+    let share_checks = Array.make n None in
+    let share_check i pay =
+      match share_checks.(i) with
+      | Some (built, share_ok) when payload_equal built pay -> share_ok
+      | Some _ | None ->
+          let share_ok = build_share_check i pay in
+          share_checks.(i) <- Some (pay, share_ok);
+          share_ok
+    in
     let condition_iii i pay =
       let share_ok = share_check i pay in
-      let good_j j = List.for_all (fun k -> share_ok j k) pay.clique in
-      let good_count = List.length (List.filter good_j pay.clique) in
-      good_count >= (3 * t) + 1
+      let clique = Array.of_list pay.clique in
+      let good = ref 0 in
+      Array.iter (fun j -> if all_on share_ok clique j then incr good) clique;
+      !good >= (3 * t) + 1
     in
     (* For refresh batches, every accepted check polynomial must vanish
        at zero: F_k = sum_h r^h g_{k,h} with all g(0) = 0, so a dealer
@@ -424,21 +468,33 @@ module Make (F : Field_intf.S) = struct
               (String.concat "," (List.map string_of_int pay.clique))
               m iterations coins_used);
         let dealers = pay.clique in
+        let clique = Array.of_list dealers in
+        (* Coin h's share sums the clique's rows at h in a local, so the
+           (possibly major-heap) result row is written once per coin. *)
         let shares =
           Array.init n (fun i ->
+              let rows = Array.make (Array.length clique) [||] in
+              let present = ref 0 in
+              Array.iter
+                (fun j ->
+                  match received.(i).(j) with
+                  | Some v ->
+                      rows.(!present) <- v;
+                      incr present
+                  | None -> ())
+                clique;
+              let present = !present in
               Array.init m (fun h ->
-                  List.fold_left
-                    (fun acc j ->
-                      match received.(i).(j) with
-                      | Some v -> F.add acc v.(h)
-                      | None -> acc)
-                    F.zero dealers))
+                  let acc = ref F.zero in
+                  for k = 0 to present - 1 do
+                    acc := F.add !acc rows.(k).(h)
+                  done;
+                  !acc))
         in
         let trusted =
           Array.init n (fun i ->
               let share_ok = share_check i pay in
-              Array.init n (fun j ->
-                  List.for_all (fun k -> share_ok j k) dealers))
+              Array.init n (fun j -> all_on share_ok clique j))
         in
         Some
           {

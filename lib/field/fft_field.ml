@@ -197,6 +197,7 @@ module Make (P : PARAM) = struct
   let pp ppf a = Format.pp_print_string ppf (to_string a)
 
   let dot = None
+  let horner = None
 end
 
 module GF_k64 = Make (struct let k = 64 end)

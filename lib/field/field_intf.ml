@@ -87,4 +87,17 @@ module type S = sig
       products with {!add} from {!zero}. It performs no {!Metrics} ticks:
       callers tick [len] mults and [len] adds in bulk, what that loop
       ticks. [None] means callers run the loop. *)
+
+  val horner : (t array array -> t -> t array -> unit) option
+  (** Optional Horner kernel. When [Some horner], [horner rows x out]
+      writes into [out.(r)] the polynomial whose coefficients are
+      [rows.(r)], lowest degree first, evaluated at [x], for every row
+      ([out] must be at least as long as [rows]). Rows may have any
+      length; an empty row evaluates to {!zero}. The results are
+      bit-identical to the Horner loop [acc := add (mul acc x) c] from
+      the top coefficient down, and it performs no {!Metrics} ticks:
+      callers tick [max (len - 1) 0] mults and adds per row in bulk,
+      what that loop ticks ({!Poly.Make.eval_rows}). The rows' chains
+      are independent, so a kernel may interleave them. [None] means
+      callers run the loop. *)
 end

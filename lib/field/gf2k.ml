@@ -92,7 +92,7 @@ let clmul32 a b =
    the bits of [z] from k up fold down as their product with r. A
    trinomial x^k + x^s + 1 passes (s, s, s): two of the three copies
    cancel under xor. *)
-let fold ~k ~s1 ~s2 ~s3 z =
+let[@inline] fold ~k ~s1 ~s2 ~s3 z =
   let h = z lsr k in
   let h_r = h lxor (h lsl s1) lxor (h lsl s2) lxor (h lsl s3) in
   z land ((1 lsl k) - 1) lxor h_r
@@ -369,6 +369,84 @@ module Make_gen (P : PARAM) (T : sig val want_tables : bool end) = struct
               z := !z lxor clmul32 a.(j) b.(j)
             done;
             fold ~k:P.k ~s1 ~s2 ~s3 (fold ~k:P.k ~s1 ~s2 ~s3 !z))
+    | _ -> None
+
+  (* Horner kernel for the carry-less regime, raw like [dot]: no ticks,
+     the caller ticks the loop's mults and adds in bulk. One loop runs
+     every row's chain, degree by degree from the longest row's top
+     down, so consecutive steps belong to different rows and none waits
+     on the one before: throughput, not the latency of one chain,
+     bounds it. A row shorter than the current degree joins at its own
+     top coefficient (its accumulator is zero until then, and
+     0 * x + c = c), so the values are those of per-row Horner. The
+     branch reads only the public point [x], never a share. Below 16
+     (every player point up to n = 15) a product is four masked shifts
+     of the accumulator, of degree <= k + 2, and one fold. Otherwise it
+     is [clmul32] written out with [x]'s bit classes hoisted, and the
+     two folds of [mul]. *)
+  let horner =
+    match tables with
+    | None when T.want_tables && P.k <= 32 ->
+        let k = P.k in
+        let s1, s2, s3 = fold_shifts ~k modulus in
+        Some
+          (fun rows x out ->
+            let nrows = Array.length rows in
+            let top = ref 0 in
+            for r = 0 to nrows - 1 do
+              let len = Array.length rows.(r) in
+              if len > !top then top := len
+            done;
+            let top = !top in
+            for r = 0 to nrows - 1 do
+              let row = rows.(r) in
+              out.(r) <- (if top > 0 && Array.length row = top then row.(top - 1) else 0)
+            done;
+            if x < 16 then begin
+              let m0 = -(x land 1) and m1 = -((x lsr 1) land 1) in
+              let m2 = -((x lsr 2) land 1) and m3 = -(x lsr 3) in
+              for d = top - 2 downto 0 do
+                for r = 0 to nrows - 1 do
+                  let row = rows.(r) in
+                  if d < Array.length row then begin
+                    let a = out.(r) in
+                    let z =
+                      a land m0
+                      lxor ((a lsl 1) land m1)
+                      lxor ((a lsl 2) land m2)
+                      lxor ((a lsl 3) land m3)
+                    in
+                    out.(r) <- fold ~k ~s1 ~s2 ~s3 z lxor row.(d)
+                  end
+                done
+              done
+            end
+            else begin
+              let b0 = x land 0x1111_1111 and b1 = x land 0x2222_2222 in
+              let b2 = x land 0x4444_4444 and b3 = x land 0x8888_8888 in
+              for d = top - 2 downto 0 do
+                for r = 0 to nrows - 1 do
+                  let row = rows.(r) in
+                  if d < Array.length row then begin
+                    let a = out.(r) in
+                    let a0 = a land 0x1111_1111 and a1 = a land 0x2222_2222 in
+                    let a2 = a land 0x4444_4444 and a3 = a land 0x8888_8888 in
+                    let z0 = (a0 * b0) lxor (a1 * b3) lxor (a2 * b2) lxor (a3 * b1) in
+                    let z1 = (a0 * b1) lxor (a1 * b0) lxor (a2 * b3) lxor (a3 * b2) in
+                    let z2 = (a0 * b2) lxor (a1 * b1) lxor (a2 * b0) lxor (a3 * b3) in
+                    let z3 = (a0 * b3) lxor (a1 * b2) lxor (a2 * b1) lxor (a3 * b0) in
+                    let z =
+                      z0 land 0x1111_1111_1111_1111
+                      lor (z1 land 0x2222_2222_2222_2222)
+                      lor (z2 land 0x4444_4444_4444_4444)
+                      lor (z3 land 0x0888_8888_8888_8888)
+                    in
+                    let z = fold ~k ~s1 ~s2 ~s3 z in
+                    out.(r) <- fold ~k ~s1 ~s2 ~s3 z lxor row.(d)
+                  end
+                done
+              done
+            end)
     | _ -> None
 end
 

@@ -72,12 +72,19 @@ module Make (P : PARAM) : S
     {!Field_intf.S.dot} kernel sums products raw, as the xor of the
     unreduced carry-less products folded once (carry-less
     multiplication is linear, so one reduction of the sum equals the
-    sum of the reductions); the other regimes have no [dot] kernel. *)
+    sum of the reductions). The same regime has the
+    {!Field_intf.S.horner} kernel: one loop runs every row's Horner
+    chain interleaved, degree by degree, so no step waits on the one
+    before. It branches on the point [x] only, never on a share: for
+    [x < 16] (every player point up to [n = 15]) a step is four masked
+    shifts of the accumulator and one fold; otherwise it is the
+    carry-less product with [x]'s bit classes hoisted out of the loop,
+    and two folds. The other regimes have neither kernel. *)
 
 module Make_untabled (P : PARAM) : S
 (** Identical field, always on the naive shift-and-xor path — the
     pre-optimization baseline, kept instantiable for benchmarks. It has
-    no [dot] kernel. *)
+    no [dot] and no [horner] kernel. *)
 
 (** {1 Ready-made instances} *)
 

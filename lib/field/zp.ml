@@ -174,6 +174,7 @@ module Make (P : PARAM) = struct
   let to_string = string_of_int
 
   let dot = None
+  let horner = None
   let primitive_root = find_primitive_root P.p
   let pow_mod b e = pow_mod P.p b e
 end

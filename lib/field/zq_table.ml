@@ -48,10 +48,6 @@ module Tables = struct
 
   let exp t e = t.exp_table.(e)
 
-  let log t a =
-    if a = 0 then invalid_arg "Zq_table.log: zero";
-    t.log_table.(a)
-
   let pow t b e =
     assert (e >= 0);
     if b = 0 then if e = 0 then 1 else 0
@@ -138,4 +134,5 @@ module Make (P : PARAM) = struct
   let to_string = string_of_int
 
   let dot = None
+  let horner = None
 end

@@ -26,9 +26,6 @@ module Tables : sig
   val pow : t -> int -> int -> int
   val exp : t -> int -> int
   (** [exp tbl e] is [generator^e mod q], [0 <= e < 2(q-1)]. *)
-
-  val log : t -> int -> int
-  (** Discrete log base [generator]; argument must be non-zero. *)
 end
 
 module type PARAM = sig

@@ -31,7 +31,6 @@ module Make (F : Field_intf.S) = struct
 
   let n plan = plan.n
   let degree_bound plan = plan.deg
-  let point plan i = plan.xs.(i)
 
   (* The fixed-row product of every check and reconstruction below:
      sum_{j < len} a.(j) b.(j). With a field kernel
@@ -161,15 +160,27 @@ module Make (F : Field_intf.S) = struct
 
   (* ---- dealing ------------------------------------------------- *)
 
-  (* Every dealing in the repository is evaluated here, one Horner
-     ({!Poly.Make.eval}) per share at the player's point: exactly the
-     values and ticks of per-share evaluation, and no randomness. The
-     degree is not bounded by the plan's t, so cheating dealings (degree
-     up to n - 1) share the loop. *)
-  let eval_poly plan p = Array.map (P.eval p) plan.xs
+  (* Every dealing in the repository is evaluated here, one
+     {!Poly.Make.eval_rows} call per player point over the dealer's
+     polynomials: exactly the values and ticks of per-share Horner, and
+     no randomness. The degree is not bounded by the plan's t, so
+     cheating dealings (degree up to n - 1) share the loop. *)
+  let eval_poly plan p =
+    let rows = [| (p : P.t :> F.t array) |] and out = [| F.zero |] in
+    Array.map
+      (fun x ->
+        P.eval_rows rows x out;
+        out.(0))
+      plan.xs
 
   let deal plan polys =
-    Array.map (fun x -> Array.map (fun p -> P.eval p x) polys) plan.xs
+    let rows = Array.map (fun p -> (p : P.t :> F.t array)) polys in
+    Array.map
+      (fun x ->
+        let out = Array.make (Array.length rows) F.zero in
+        P.eval_rows rows x out;
+        out)
+      plan.xs
 
   (* ---- full grid ------------------------------------------------- *)
 

@@ -54,9 +54,6 @@ module Make (F : Field_intf.S) : sig
   val n : t -> int
   val degree_bound : t -> int
 
-  val point : t -> int -> F.t
-  (** [point plan i = F.of_int (i + 1)], read from the plan. *)
-
   val dot : F.t array -> F.t array -> int -> F.t
   (** [dot a b len] is [a.(0) b.(0) + ... + a.(len - 1) b.(len - 1)]:
       the one fixed-row product behind {!fits}, {!interpolate_checked}
@@ -68,17 +65,20 @@ module Make (F : Field_intf.S) : sig
 
   val eval_poly : t -> P.t -> F.t array
   (** [eval_poly plan f] is one polynomial's share row: [f] at every
-      grid point, [(eval_poly plan f).(i) = P.eval f (point plan i)].
-      Any degree (an honest dealing has degree [<= t], a cheating one
-      up to [n - 1]). Each share is one Horner evaluation, so values
-      and {!Metrics} ticks ([degree f] mults and adds per point) are
-      those of per-share {!Poly.Make.eval}; no randomness is drawn. *)
+      grid point, [(eval_poly plan f).(i) = P.eval f x_i] with
+      [x_i = F.of_int (i + 1)]. Any degree (an honest dealing has
+      degree [<= t], a cheating one up to [n - 1]). Values and
+      {!Metrics} ticks ([degree f] mults and adds per point) are those
+      of per-share {!Poly.Make.eval}: each point is one
+      {!Poly.Make.eval_rows} call. No randomness is drawn. *)
 
   val deal : t -> P.t array -> F.t array array
   (** [deal plan polys] is a dealer's share matrix, player-major:
-      [(deal plan polys).(i).(h) = P.eval polys.(h) (point plan i)],
-      the row player [i] receives. The same per-share evaluation as
-      {!eval_poly}, with the same ticks; no transposed copy is built. *)
+      [(deal plan polys).(i).(h) = P.eval polys.(h) x_i] with
+      [x_i = F.of_int (i + 1)], the row player [i] receives. Each row
+      is one {!Poly.Make.eval_rows} call over all the polynomials at
+      [x_i], so values and ticks are those of per-share Horner; no
+      transposed copy is built. *)
 
   val fits : t -> F.t array -> bool
   (** [fits plan values]: do the [n] grid values (indexed by player)

@@ -61,6 +61,29 @@ module Make (F : Field_intf.S) = struct
       !acc
     end
 
+  (* The one multi-row Horner: the field's raw kernel with the loop's
+     ticks paid in bulk, or that loop. *)
+  let eval_rows rows x out =
+    let nrows = Array.length rows in
+    if Array.length out < nrows then
+      invalid_arg "Poly.eval_rows: output shorter than rows";
+    match F.horner with
+    | Some kernel ->
+        if Metrics.counting_enabled () then begin
+          let steps = ref 0 in
+          for r = 0 to nrows - 1 do
+            let len = Array.length rows.(r) in
+            if len > 1 then steps := !steps + len - 1
+          done;
+          Metrics.tick_mults !steps;
+          Metrics.tick_adds !steps
+        end;
+        kernel rows x out
+    | None ->
+        for r = 0 to nrows - 1 do
+          out.(r) <- eval rows.(r) x
+        done
+
   let add a b =
     let n = max (Array.length a) (Array.length b) in
     normalize

@@ -11,10 +11,12 @@
     [...] is the final interpolation", Section 5). *)
 
 module Make (F : Field_intf.S) : sig
-  type t
-  (** A polynomial with coefficients in [F]. The representation is
-      normalized: the leading coefficient is non-zero (the zero
-      polynomial has no coefficients). *)
+  type t = private F.t array
+  (** A polynomial with coefficients in [F], lowest degree first. The
+      representation is normalized: the leading coefficient is non-zero
+      (the zero polynomial has no coefficients). It is readable as its
+      coefficient array ([(p :> F.t array)], never to be mutated), so
+      {!eval_rows} takes polynomials without a copy. *)
 
   val zero : t
   val one : t
@@ -41,6 +43,18 @@ module Make (F : Field_intf.S) : sig
 
   val eval : t -> F.t -> F.t
   (** Horner evaluation: [degree p] multiplications and additions. *)
+
+  val eval_rows : F.t array array -> F.t -> F.t array -> unit
+  (** [eval_rows rows x out] writes into [out.(r)] the coefficient row
+      [rows.(r)] (lowest degree first, any length, trailing zeros
+      allowed; an empty row is zero) evaluated at [x], for every row.
+      Values and {!Metrics} ticks are those of {!eval} row by row:
+      [max (len - 1) 0] multiplications and additions per row. With
+      the field's {!Field_intf.S.horner} kernel the rows run interleaved
+      and the ticks are paid in bulk; without one this is that loop.
+      Every dealing ({!Grid.Make.deal}) and every gamma combine
+      ({!Vss.Make.combine_rows}) evaluates here.
+      @raise Invalid_argument if [out] is shorter than [rows]. *)
 
   val add : t -> t -> t
   val sub : t -> t -> t

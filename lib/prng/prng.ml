@@ -27,7 +27,9 @@ let[@inline] mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let next_int64 g =
+(* Inlined so that [bits], [bool] and [int] keep the output unboxed: a
+   call would return it boxed, three words per draw. *)
+let[@inline] next_int64 g =
   let s = Int64.add (state g) golden_gamma in
   set_state g s;
   mix s
@@ -53,7 +55,7 @@ let bits g w =
   if w = 0 then 0
   else Int64.to_int (Int64.shift_right_logical (next_int64 g) (64 - w))
 
-let bool g = Int64.compare (next_int64 g) 0L < 0
+let bool g = Int64.to_int (Int64.shift_right_logical (next_int64 g) 63) = 1
 
 (* [n] calls of [bool] with the state in a local; only the final state
    is written back. A draw is true when the output's top bit is set, as
@@ -70,14 +72,18 @@ let bools g n =
 
 let int g bound =
   assert (bound > 0);
-  (* Rejection sampling over the smallest power of two >= bound. *)
-  let rec width w = if 1 lsl w >= bound then w else width (w + 1) in
-  let w = width 0 in
-  let rec draw () =
-    let v = bits g w in
-    if v < bound then v else draw ()
-  in
-  draw ()
+  (* Rejection sampling over the smallest power of two >= bound, with
+     loops rather than local functions, which would be closures. *)
+  let w = ref 0 in
+  while 1 lsl !w < bound do
+    incr w
+  done;
+  let w = !w in
+  let v = ref (bits g w) in
+  while !v >= bound do
+    v := bits g w
+  done;
+  !v
 
 let shuffle g a =
   for i = Array.length a - 1 downto 1 do

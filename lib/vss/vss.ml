@@ -162,18 +162,20 @@ module Make (F : Field_intf.S) = struct
     in
     robust_verdict ?dealer ~n ~t announced
 
+  (* Fig. 3 step 2 per row: (...((r a_M + a_{M-1}) r + a_{M-2})...) r
+     + a_1) r. The bracket is Horner over the row at r (M - 1
+     multiplications and additions, all rows in one call), and the
+     final factor r one more multiplication: exactly M and M - 1. *)
+  let combine_rows ~r rows out =
+    P.eval_rows rows r out;
+    for j = 0 to Array.length rows - 1 do
+      if Array.length rows.(j) > 0 then out.(j) <- F.mul out.(j) r
+    done
+
   let combine ~r shares =
-    (* Fig. 3 step 2: (...((r a_M + a_{M-1}) r + a_{M-2})...) r + a_1) r
-       — exactly M multiplications and M - 1 additions. *)
-    let m = Array.length shares in
-    if m = 0 then F.zero
-    else begin
-      let acc = ref shares.(m - 1) in
-      for j = m - 2 downto 0 do
-        acc := F.add (F.mul !acc r) shares.(j)
-      done;
-      F.mul !acc r
-    end
+    let out = [| F.zero |] in
+    combine_rows ~r [| shares |] out;
+    out.(0)
 
   let combine_naive ~r shares =
     let acc = ref F.zero in

@@ -94,7 +94,16 @@ module Make (F : Field_intf.S) : sig
 
   val combine : r:F.t -> F.t array -> F.t
   (** [combine ~r [|a1; ...; aM|]] is [r^M aM + ... + r a1], computed by
-      the Horner chain of Fig. 3 step 2 ([M] multiplications). *)
+      the Horner chain of Fig. 3 step 2: [M] multiplications and
+      [M - 1] additions (none for [M = 0], whose value is zero). One
+      row of {!combine_rows}. *)
+
+  val combine_rows : r:F.t -> F.t array array -> F.t array -> unit
+  (** [combine_rows ~r rows out] writes [combine ~r rows.(j)] into
+      [out.(j)] for every row, with the same values and ticks: one
+      {!Poly.Make.eval_rows} call over all the rows at [r], then one
+      multiplication by [r] per non-empty row. Coin-Gen step 3 combines
+      every dealer's shares at the shared check coin in one call. *)
 
   val combine_naive : r:F.t -> F.t array -> F.t
   (** The same value computed the obvious way — an independent power

@@ -5,7 +5,9 @@
    multiplication vs schoolbook, the subset reconstruction's array and
    list entry points vs plain interpolation and the degree check, and
    Coin-Expose [run] vs the list-based [Coin_expose_reference] (values,
-   ticks, traces and ledger evidence). *)
+   ticks, traces and ledger evidence), and the multi-row Horner
+   ([Poly.eval_rows], [Vss.combine_rows]) vs per-row Horner and the
+   naive combine. *)
 
 (* ---- one dealer = per-share Horner, per field ---------------------- *)
 
@@ -15,7 +17,9 @@
    point, the form every dealer had before [Grid]; the two must agree
    on the values, on the Metrics ticks of the whole dealing and on the
    PRNG state after it. The polynomials cover the zero polynomial, a
-   constant, degree t and every cheating degree up to n - 1. Each side
+   constant, degree t and every cheating degree up to n - 1, so each
+   player row mixes lengths; n = 18 puts player points on both sides of
+   16, the two paths of the carry-less field's Horner kernel. Each side
    runs once uncounted first: a plan's construction is ticked once per
    session (and per functor instance's plan table), not per dealing. *)
 module Dealer_laws (F : Field_intf.S) = struct
@@ -79,7 +83,7 @@ module Dealer_laws (F : Field_intf.S) = struct
   let run seed =
     List.iteri
       (fun k (n, t) -> check ~n ~t ~seed:(seed + k))
-      [ (1, 0); (4, 1); (7, 2); (13, 2); (13, 4) ]
+      [ (1, 0); (4, 1); (7, 2); (13, 2); (13, 4); (18, 3) ]
 end
 
 module GF32U = Gf2k.Make_untabled (struct let k = 32 end)
@@ -101,6 +105,125 @@ let test_dealer_matches_horner () =
   DQ.run 501;
   DF.run 601;
   DW.run 701
+
+(* ---- the multi-row Horner = per-row Horner ------------------------ *)
+
+(* [Poly.eval_rows] against the Horner loop row by row, and
+   [Vss.combine] / [combine_rows] against [combine_naive], on the
+   carry-less field, which runs the raw [horner] kernel, and on fields
+   that run the loop: values bit-identical, and ticks exactly the
+   loop's ([len - 1] mults and adds per row; M mults and M - 1 adds per
+   combine). The points are 0, 1, every player point below 16, 16 to
+   19 and random elements; one call mixes empty rows, constants,
+   trailing zeros and lengths up to 19. *)
+module Horner_laws (F : Field_intf.S) = struct
+  module P = Poly.Make (F)
+  module V = Vss.Make (F)
+
+  (* [Poly.eval]'s loop over a raw row, trailing zeros included. *)
+  let horner row x =
+    let len = Array.length row in
+    if len = 0 then F.zero
+    else begin
+      let acc = ref row.(len - 1) in
+      for d = len - 2 downto 0 do
+        acc := F.add (F.mul !acc x) row.(d)
+      done;
+      !acc
+    end
+
+  let random_rows g =
+    Array.init (1 + Prng.int g 40) (fun _ ->
+        Array.init (Prng.int g 20) (fun _ ->
+            if Prng.int g 5 = 0 then F.zero else F.random g))
+
+  let same = Array.for_all2 F.equal
+
+  let check seed =
+    let g = Prng.of_int seed in
+    let points = List.init 20 F.of_int @ List.init 8 (fun _ -> F.random g) in
+    for _ = 1 to 10 do
+      let rows = random_rows g in
+      List.iter
+        (fun x ->
+          let out = Array.make (Array.length rows) F.one in
+          let (), ticks =
+            Metrics.with_counting (fun () -> P.eval_rows rows x out)
+          in
+          let expected, expected_ticks =
+            Metrics.with_counting (fun () -> Array.map (fun r -> horner r x) rows)
+          in
+          if not (same out expected) then
+            Alcotest.failf "%s: eval_rows at %s diverges" F.name (F.to_string x);
+          if ticks <> expected_ticks then
+            Alcotest.failf "%s: eval_rows ticks diverge" F.name;
+          let out = Array.make (Array.length rows) F.one in
+          let (), ticks =
+            Metrics.with_counting (fun () -> V.combine_rows ~r:x rows out)
+          in
+          let m_total =
+            Array.fold_left (fun acc r -> acc + Array.length r) 0 rows
+          in
+          let nonempty =
+            Array.fold_left
+              (fun acc r -> if Array.length r > 0 then acc + 1 else acc)
+              0 rows
+          in
+          if not (same out (Array.map (V.combine_naive ~r:x) rows)) then
+            Alcotest.failf "%s: combine_rows at %s diverges from combine_naive"
+              F.name (F.to_string x);
+          if
+            ticks.Metrics.field_mults <> m_total
+            || ticks.Metrics.field_adds <> m_total - nonempty
+          then Alcotest.failf "%s: combine_rows ticks are not M and M - 1" F.name;
+          Array.iteri
+            (fun j row ->
+              let v, t = Metrics.with_counting (fun () -> V.combine ~r:x row) in
+              let m = Array.length row in
+              if not (F.equal v out.(j)) then
+                Alcotest.failf "%s: combine diverges from combine_rows" F.name;
+              if t.Metrics.field_mults <> m || t.Metrics.field_adds <> max (m - 1) 0
+              then Alcotest.failf "%s: combine ticks are not M and M - 1" F.name)
+            rows)
+        points
+    done
+
+  let run = check
+end
+
+module GF17 = Gf2k.Make (struct let k = 17 end)
+module GF24 = Gf2k.Make (struct let k = 24 end)
+
+let test_eval_rows_matches_horner () =
+  let module H32 = Horner_laws (Gf2k.GF32) in
+  let module H24 = Horner_laws (GF24) in
+  let module HU = Horner_laws (GF32U) in
+  let module H16 = Horner_laws (Gf2k.GF16) in
+  let module HP = Horner_laws (P97) in
+  H32.run 811;
+  H24.run 821;
+  HU.run 831;
+  H16.run 841;
+  HP.run 851
+
+(* The kernel exists where a benchmark workload runs it, the carry-less
+   regime of [Gf2k.Make], and nowhere else. *)
+let test_horner_kernel_placement () =
+  let has (module F : Field_intf.S) = Option.is_some F.horner in
+  List.iter
+    (fun (name, f, expected) ->
+      Alcotest.(check bool) name expected (has f))
+    [
+      ("GF(2^32)", (module Gf2k.GF32 : Field_intf.S), true);
+      ("GF(2^17)", (module GF17), true);
+      ("GF(2^16), tabled", (module Gf2k.GF16), false);
+      ("GF(2^61), word loop", (module Gf2k.GF61), false);
+      ("GF(2^32), untabled", (module GF32U), false);
+      ("Z_97", (module P97), false);
+      ("Z_97, tabled", (module Q97), false);
+      ("Fft_field", (module Fft_field.GF_k64), false);
+      ("Gf2_wide", (module Gf2_wide.GF64), false);
+    ]
 
 (* ---- Bit_gen.deal_matrix = its per-share twin --------------------- *)
 
@@ -445,6 +568,10 @@ let suite =
   [
     Alcotest.test_case "one dealer = per-share Horner" `Quick
       test_dealer_matches_horner;
+    Alcotest.test_case "eval_rows and combine = per-row Horner" `Quick
+      test_eval_rows_matches_horner;
+    Alcotest.test_case "Horner kernel only in the carry-less regime" `Quick
+      test_horner_kernel_placement;
     Alcotest.test_case "deal_matrix = per-share twin" `Quick
       test_deal_matrix_matches_twin;
     Alcotest.test_case "karatsuba matches schoolbook" `Quick test_karatsuba;

@@ -337,6 +337,176 @@ let test_step10_known_answers () =
       Alcotest.(check bool) (name ^ ": exercises its path") true (exercised batch))
     known_answer_cases
 
+(* Known answers over GF(2^32), the field of every perfbench workload,
+   at the pool-refill shape (n = 13, t = 2, M = 32) and a beacon-like
+   one (n = 7, t = 1, M = 64): per case the MD5 of the accepted batch
+   (dealers, shares, trusted, BA iterations, seed coins) and the exact
+   Metrics vector of the run. The carry-less field runs the raw
+   [horner] and [dot] kernels, so these pin that the kernels and the
+   in-place rounds deal, combine, decode, gradecast and agree to the
+   bit, with the ticks the paper charges. Each case runs once uncounted
+   first, so plan construction is not in the counted run. Players 0
+   and 7 (n = 13) or 0 (n = 7) misbehave as the case says; the others
+   are honest. *)
+module F32 = Gf2k.GF32
+module CG32 = Coin_gen.Make (F32)
+
+let digest32 = function
+  | None -> "no batch"
+  | Some b ->
+      let buf = Buffer.create 4096 in
+      List.iter (Printf.bprintf buf "%d,") b.CG32.dealers;
+      Buffer.add_char buf '|';
+      Array.iter
+        (Array.iter (fun ok -> Buffer.add_char buf (if ok then '1' else '0')))
+        b.CG32.trusted;
+      Buffer.add_char buf '|';
+      Array.iter
+        (Array.iter (fun x -> Printf.bprintf buf "%s," (F32.to_string x)))
+        b.CG32.shares;
+      Printf.bprintf buf "|%d|%d" b.CG32.ba_iterations
+        b.CG32.seed_coins_consumed;
+      Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let metrics_string s =
+  String.concat " "
+    (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) (Metrics.to_row s))
+
+(* The check coin first, then zero: the first leader drawn is player 0. *)
+let oracle32 seed =
+  let g = Prng.of_int seed in
+  let calls = ref 0 in
+  fun () ->
+    incr calls;
+    Metrics.without_counting (fun () ->
+        if !calls = 2 then F32.zero else F32.random g)
+
+let kat32_cases ~n ~t =
+  let faulty = if n = 13 then [ 0; 7 ] else [ 0 ] in
+  let faults = Net.Faults.make ~n ~faulty in
+  let adversary ?(as_dealer = CG32.BG.Honest_dealer) ?(as_gamma = CG32.Honest_vec)
+      ?(as_gradecast_dealer = Gradecast.Dealer_honest)
+      ?(as_gradecast_follower = Gradecast.Follower_honest)
+      ?(as_ba = Phase_king.Honest) () =
+    CG32.faulty_with ~as_dealer ~as_gamma ~as_gradecast_dealer
+      ~as_gradecast_follower ~as_ba faults
+  in
+  (* A payload nobody decoded, built afresh per call so echoes compare
+     structurally, not physically. *)
+  let fake () =
+    {
+      CG32.clique = List.init n Fun.id;
+      polys =
+        List.init n (fun k ->
+            (k, Array.init (t + 1) (fun d -> F32.of_int ((7 * k) + d + 1))));
+    }
+  in
+  let honest_zero i =
+    if List.mem i faulty then CG32.BG.Honest_dealer else CG32.BG.Honest_zero_dealer
+  in
+  [
+    ("honest", adversary (), false);
+    ("Bad_degree", adversary ~as_dealer:(CG32.BG.Bad_degree [ 0; 1; 5 ]) (), false);
+    ( "Inconsistent_to",
+      adversary ~as_dealer:(CG32.BG.Inconsistent_to [ 1; 2 ]) (),
+      false );
+    ("Silent_dealer", adversary ~as_dealer:CG32.BG.Silent_dealer (), false);
+    ( "Honest_zero_dealer, zero_secrets",
+      { (adversary ()) with CG32.as_dealer = honest_zero },
+      true );
+    ( "Arbitrary_vec",
+      adversary
+        ~as_gamma:
+          (CG32.Arbitrary_vec
+             (fun dst ->
+               Array.init n (fun j ->
+                   if (dst + j) mod 3 = 0 then None
+                   else Some (F32.of_int ((dst * n) + j + 1)))))
+        (),
+      false );
+    ( "Dealer_equivocate",
+      adversary
+        ~as_gradecast_dealer:
+          (Gradecast.Dealer_equivocate
+             (fun dst -> if dst mod 2 = 0 then Some (fake ()) else None))
+        (),
+      false );
+    ( "Follower_arbitrary",
+      adversary
+        ~as_gradecast_follower:
+          (Gradecast.Follower_arbitrary
+             (fun ~round ~dst ->
+               if (round + dst) mod 3 = 0 then None else Some (fake ())))
+        (),
+      false );
+    ( "Phase_king.Arbitrary",
+      adversary
+        ~as_ba:
+          (Phase_king.Arbitrary
+             (fun ~phase ~round ~dst ->
+               if (phase + round + dst) mod 3 = 0 then None
+               else Some ((dst + phase) mod 2 = 0)))
+        (),
+      false );
+  ]
+
+let kat32_run ~n ~t ~m (name, adversary, zero_secrets) =
+  let go () =
+    CG32.run ~adversary ~zero_secrets ~prng:(Prng.of_int (n + m))
+      ~oracle:(oracle32 (1000 + n)) ~n ~t ~m ()
+  in
+  ignore (go ());
+  let batch, snap = Metrics.with_counting go in
+  Printf.sprintf "n=%d %s: %s %s" n name (digest32 batch) (metrics_string snap)
+
+let kat32_expected =
+  [
+    "n=13 honest: 3dd426834c54c669e8bb4ba1285cfd7e"
+    ^ " adds=28054 mults=22815 invs=0 interps=169 msgs=1284 bytes=1031976 rounds=11 ba=1 gradecast=13";
+    "n=13 Bad_degree: f66986a36aa3cb20c3195cc257b45882"
+    ^ " adds=106676 mults=130169 invs=858 interps=195 msgs=1284 bytes=728712 rounds=11 ba=1 gradecast=13";
+    "n=13 Inconsistent_to: 7cf64093e6ca818fbc27ab7cd6d82b87"
+    ^ " adds=58136 mults=62855 invs=286 interps=195 msgs=1284 bytes=728712 rounds=11 ba=1 gradecast=13";
+    "n=13 Silent_dealer: 20b6f4173bc95299327c30ebe999f8db"
+    ^ " adds=22906 mults=19305 invs=0 interps=143 msgs=1260 bytes=724344 rounds=11 ba=1 gradecast=13";
+    "n=13 Honest_zero_dealer, zero_secrets: 6c8dd24ca0cbab232ef31b4f0410f720"
+    ^ " adds=26728 mults=23153 invs=0 interps=169 msgs=1284 bytes=728712 rounds=11 ba=1 gradecast=13";
+    "n=13 Arbitrary_vec: 56bd68a38614c3884585f5be87e26ec3"
+    ^ " adds=203252 mults=247919 invs=1688 interps=281 msgs=1284 bytes=728292 rounds=11 ba=1 gradecast=13";
+    "n=13 Dealer_equivocate: a6ac2ddce44989a0899835024e5b0838"
+    ^ " adds=28054 mults=22815 invs=0 interps=169 msgs=1788 bytes=921334 rounds=17 ba=2 gradecast=13";
+    "n=13 Follower_arbitrary: 3dd426834c54c669e8bb4ba1285cfd7e"
+    ^ " adds=28054 mults=22815 invs=0 interps=169 msgs=1284 bytes=982472 rounds=11 ba=1 gradecast=13";
+    "n=13 Phase_king.Arbitrary: 3dd426834c54c669e8bb4ba1285cfd7e"
+    ^ " adds=28054 mults=22815 invs=0 interps=169 msgs=1256 bytes=1031948 rounds=11 ba=1 gradecast=13";
+    "n=7 honest: 1e4645fa1b33ccd38931e2046e4429cc"
+    ^ " adds=10045 mults=6958 invs=0 interps=49 msgs=306 bytes=76494 rounds=9 ba=1 gradecast=7";
+    "n=7 Bad_degree: 14ab5781416b23cd8d06bc8cea710530"
+    ^ " adds=10852 mults=9660 invs=63 interps=56 msgs=306 bytes=58854 rounds=9 ba=1 gradecast=7";
+    "n=7 Inconsistent_to: b24f1a51658426dda16eda5522d9397d"
+    ^ " adds=10409 mults=8813 invs=49 interps=56 msgs=306 bytes=58854 rounds=9 ba=1 gradecast=7";
+    "n=7 Silent_dealer: be95b33ec3d07a0b5a555bf06f492df3"
+    ^ " adds=8162 mults=5964 invs=0 interps=42 msgs=300 bytes=57138 rounds=9 ba=1 gradecast=7";
+    "n=7 Honest_zero_dealer, zero_secrets: cba067764fcaf325ffaacf6a832f80cc"
+    ^ " adds=9198 mults=7007 invs=0 interps=49 msgs=306 bytes=58854 rounds=9 ba=1 gradecast=7";
+    "n=7 Arbitrary_vec: f37b082cf89ccce632af098b17084dbd"
+    ^ " adds=16552 mults=18234 invs=277 interps=81 msgs=306 bytes=58798 rounds=9 ba=1 gradecast=7";
+    "n=7 Dealer_equivocate: 0a1def306aab2d8c345b5175642067f5"
+    ^ " adds=10045 mults=6958 invs=0 interps=49 msgs=402 bytes=70164 rounds=13 ba=2 gradecast=7";
+    "n=7 Follower_arbitrary: 1e4645fa1b33ccd38931e2046e4429cc"
+    ^ " adds=10045 mults=6958 invs=0 interps=49 msgs=306 bytes=73638 rounds=9 ba=1 gradecast=7";
+    "n=7 Phase_king.Arbitrary: 1e4645fa1b33ccd38931e2046e4429cc"
+    ^ " adds=10045 mults=6958 invs=0 interps=49 msgs=300 bytes=76488 rounds=9 ba=1 gradecast=7";
+  ]
+
+let test_gf32_known_answers () =
+  let got =
+    List.concat_map
+      (fun (n, t, m) -> List.map (kat32_run ~n ~t ~m) (kat32_cases ~n ~t))
+      [ (13, 2, 32); (7, 1, 64) ]
+  in
+  Alcotest.(check (list string)) "GF(2^32) batches and counts" kat32_expected got
+
 let suite =
   [
     Alcotest.test_case "other fault bounds" `Quick test_other_fault_bounds;
@@ -354,4 +524,5 @@ let suite =
     Alcotest.test_case "bad dealers excluded" `Quick
       test_bad_dealers_excluded_or_pinned;
     Alcotest.test_case "step 10 known answers" `Quick test_step10_known_answers;
+    Alcotest.test_case "GF(2^32) known answers" `Quick test_gf32_known_answers;
   ]

@@ -141,6 +141,42 @@ let prop_best_supported_matches_reference =
       Gradecast.best_supported ~equal items
       = best_supported_reference ~equal items)
 
+(* The in-place slot tally [run_all] grades with, against
+   [best_supported] over the same echoes listed. Each case is a matrix
+   of echo vectors (rows) by slots: an entry is absent or a key from a
+   tiny alphabet tagged with its row, which [equal] ignores, so ties
+   are common and the result shows which equal entry won. Some rows
+   repeat one key in every slot, others vary it by slot, as an
+   equivocating follower does; only a prefix of the rows may be read,
+   as when the scratch outgrew the round. *)
+let prop_tally_matches_best_supported =
+  QCheck.Test.make ~count:500 ~name:"in-place slot tally = best_supported"
+    QCheck.(triple int (int_range 0 16) (int_range 1 5))
+    (fun (seed, rows, slots) ->
+      let g = Prng.of_int seed in
+      let echoes =
+        Array.init rows (fun row ->
+            let fixed = Prng.int g 3 in
+            Array.init slots (fun slot ->
+                if Prng.int g 4 = 0 then None
+                else if Prng.bool g then Some (fixed, row)
+                else Some ((Prng.int g 3 + slot) mod 3, row)))
+      in
+      let len = if rows > 0 && Prng.bool g then Prng.int g rows else rows in
+      let equal (a, _) (b, _) = a = b in
+      List.for_all
+        (fun slot ->
+          let listed =
+            List.filter_map
+              (fun row -> echoes.(row).(slot))
+              (List.init len Fun.id)
+          in
+          let winner = ref 0 in
+          let support = Gradecast.tally_slot ~equal echoes ~len ~slot winner in
+          let value = if !winner < 0 then None else echoes.(!winner).(slot) in
+          (value, support) = Gradecast.best_supported ~equal listed)
+        (List.init slots Fun.id))
+
 let suite =
   [
     Alcotest.test_case "all honest" `Quick test_all_honest;
@@ -148,4 +184,8 @@ let suite =
     Alcotest.test_case "mixed dealers" `Quick test_mixed_dealers;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false)
-      [ prop_run_all_soundness; prop_best_supported_matches_reference ]
+      [
+        prop_run_all_soundness;
+        prop_best_supported_matches_reference;
+        prop_tally_matches_best_supported;
+      ]

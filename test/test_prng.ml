@@ -193,6 +193,26 @@ let prop_bools_matches_bool =
       let one_by_one = Array.init n (fun _ -> Prng.bool h) in
       bulk = one_by_one && Int64.equal (Prng.next_int64 g) (Prng.next_int64 h))
 
+(* Known answers for the draws the fields and protocols are built on:
+   [bits] at several widths (0 draws nothing), [bool] and [int] at
+   power-of-two and rejection-sampled bounds, all from one stream. The
+   values were recorded from the generator as it stood before [bits],
+   [bool] and [int] were made allocation-free, so a change to their
+   stream fails here. *)
+let test_known_answers () =
+  let g = Prng.of_int 2718 in
+  let bits = List.map (Prng.bits g) [ 1; 7; 13; 32; 62; 0; 32 ] in
+  let bools = List.init 8 (fun _ -> if Prng.bool g then 1 else 0) in
+  let ints = List.map (Prng.int g) [ 1; 3; 8; 10; 1000; (1 lsl 40) + 7; 97 ] in
+  Alcotest.(check (list int)) "bits, bool, int"
+    [
+      1; 73; 3525; 293917522; 1854106655911558262; 0; 2515568465;
+      1; 0; 0; 1; 1; 1; 1; 1;
+      0; 0; 7; 5; 870; 785478643246; 1;
+    ]
+    (bits @ bools @ ints);
+  Alcotest.(check int64) "state after" (-1235118079299171508L) (Prng.next_int64 g)
+
 let suite =
   [
     Alcotest.test_case "deterministic" `Quick test_deterministic;
@@ -213,6 +233,8 @@ let suite =
     Alcotest.test_case "shuffle permutes" `Quick test_shuffle_permutes;
     Alcotest.test_case "split_n" `Quick test_split_n;
     Alcotest.test_case "bools of zero draws" `Quick test_bools_empty;
+    Alcotest.test_case "bits, bool and int known answers" `Quick
+      test_known_answers;
   ]
   @ List.map
       (QCheck_alcotest.to_alcotest ~long:false)
